@@ -51,14 +51,9 @@ def _install_stop_handlers(stop: threading.Event):
 
 def _sync_listener(sock: socket.socket, cp, instance_id: int, stop: threading.Event):
     """Feed sync datagrams into the control plane until told to stop."""
-    sock.settimeout(0.2)
-    while not stop.is_set():
-        try:
-            datagram = sock.recv(4096)
-        except socket.timeout:
+    for datagram in netutil.recv_datagrams(sock, stop, bufsize=4096):
+        if datagram is None:
             continue
-        except OSError:
-            break
         try:
             msg = wire.decode_sync(datagram)
         except wire.WireError as exc:

@@ -10,6 +10,12 @@ change without touching events already in flight.
 All mutation happens under one instance lock and epochs are swapped as
 a whole tuple, so the forwarding path never observes a half-applied
 schedule.
+
+Per datagram the socket loop makes one ``recv``; ``forward_packet``
+does one header unpack with inline magic and version checks, picks the
+epoch (newest first), indexes its slot and looks the member up; the loop
+then makes one ``sendto``.  No header object or exception is built on
+the way, and the returned ``ForwardAction`` is a plain slotted record.
 """
 
 from __future__ import annotations
@@ -20,7 +26,8 @@ import socket
 import threading
 from dataclasses import dataclass, field
 
-from . import netutil, wire
+from . import netutil
+from .wire import LB_HEADER_SIZE, LB_MAGIC, WIRE_VERSION, unpack_lb_header
 
 __all__ = [
     "SLOT_COUNT",
@@ -96,13 +103,22 @@ class Epoch:
     table: tuple  # SLOT_COUNT entries, session_id or None
 
 
-@dataclass(frozen=True)
 class ForwardAction:
-    dest: tuple  # (ip, port)
-    payload: bytes  # datagram minus the 16-octet forwarding header
-    session_id: int
-    tick: int
-    channel: int
+    """Send ``payload`` to ``dest``; built once per forwarded datagram."""
+
+    __slots__ = ("dest", "payload", "session_id", "tick")
+
+    def __init__(self, dest: tuple, payload: bytes, session_id: int, tick: int):
+        self.dest = dest  # (ip, port)
+        self.payload = payload  # datagram minus the 16-octet forwarding header
+        self.session_id = session_id
+        self.tick = tick
+
+    def __repr__(self):
+        return (
+            f"ForwardAction(dest={self.dest!r}, session_id={self.session_id}, "
+            f"tick={self.tick}, payload={len(self.payload)} octets)"
+        )
 
 
 @dataclass(frozen=True)
@@ -114,13 +130,6 @@ class Drop:
 def dest_port(member: MemberSession, channel: int) -> int:
     """Spread channels across the member's port range."""
     return member.base_port + (channel % member.port_count)
-
-
-_WIRE_DROPS = {
-    wire.BadMagic: DropReason.BAD_MAGIC,
-    wire.BadVersion: DropReason.BAD_VERSION,
-    wire.Truncated: DropReason.TRUNCATED,
-}
 
 
 @dataclass
@@ -174,18 +183,24 @@ class LbInstance:
         """Route one datagram; returns the action, never raises."""
         with self._lock:
             self.received_total += 1
-            try:
-                header = wire.decode_lb_header(datagram)
-            except wire.WireError as exc:
-                return self._drop(_WIRE_DROPS[type(exc)], None)
-            tick = header.tick
-            try:
-                epoch = self.select_epoch(tick)
-            except NoEpoch:
+            if len(datagram) < LB_HEADER_SIZE:
+                return self._drop(DropReason.TRUNCATED, None)
+            magic, version, _protocol, _reserved, channel, tick = unpack_lb_header(datagram)
+            if magic != LB_MAGIC:
+                return self._drop(DropReason.BAD_MAGIC, None)
+            if version != WIRE_VERSION:
+                return self._drop(DropReason.BAD_VERSION, None)
+            epochs = self._epochs
+            if not epochs:
                 return self._drop(DropReason.NO_EPOCH, tick)
-            try:
-                sid = self.select_member(epoch, tick)
-            except NullSlot:
+            epoch = epochs[-1]
+            if epoch.boundary_tick > tick:
+                epoch = epochs[0]  # pre-boundary ticks use the oldest
+                for ep in epochs:
+                    if ep.boundary_tick <= tick:
+                        epoch = ep
+            sid = epoch.table[tick % self.slot_count]
+            if sid is None:
                 return self._drop(DropReason.NULL_SLOT, tick)
             member = self.members.get(sid)
             if member is None or member.state is MemberState.RETIRED:
@@ -195,11 +210,10 @@ class LbInstance:
             if self.max_forwarded_tick is None or tick > self.max_forwarded_tick:
                 self.max_forwarded_tick = tick
             return ForwardAction(
-                dest=(member.dest_ip, dest_port(member, header.channel)),
-                payload=datagram[wire.LB_HEADER_SIZE :],
-                session_id=sid,
-                tick=tick,
-                channel=header.channel,
+                (member.dest_ip, member.base_port + channel % member.port_count),  # dest_port
+                datagram[LB_HEADER_SIZE:],
+                sid,
+                tick,
             )
 
     def _drop(self, reason: DropReason, tick) -> Drop:
@@ -307,17 +321,11 @@ class UdpDataPlane:
         self._thread.start()
 
     def _run(self):
-        sock = self.sock
-        sock.settimeout(0.2)
         forward = self.instance.forward_packet
         send = self._out.sendto
-        while not self._stop.is_set():
-            try:
-                datagram = sock.recv(65535)
-            except socket.timeout:
+        for datagram in netutil.recv_datagrams(self.sock, self._stop):
+            if datagram is None:
                 continue
-            except OSError:
-                break
             action = forward(datagram)
             if isinstance(action, ForwardAction):
                 try:

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import socket
+import struct
 
-__all__ = ["request_buffer", "parse_address"]
+__all__ = ["request_buffer", "parse_address", "recv_datagrams"]
+
+# How long a receive loop blocks before it looks at its stop flag.
+IDLE_TICK_S = 0.2
 
 
 def request_buffer(sock: socket.socket, direction: str, size: int) -> int:
@@ -37,3 +41,28 @@ def parse_address(text: str) -> tuple:
     if not sep or not port.isdigit():
         raise ValueError(f"address {text!r} is not host:port")
     return (host or "0.0.0.0", int(port))
+
+
+def recv_datagrams(sock: socket.socket, stop, bufsize: int = 65535):
+    """Yield each datagram from ``sock`` until ``stop`` is set or it closes.
+
+    The socket stays in blocking mode with ``SO_RCVTIMEO`` set, so each
+    datagram costs exactly one ``recvfrom``: a Python-level timeout would
+    add a ``poll`` before every receive.  When the kernel timeout expires
+    the loop yields ``None`` (the idle tick, for housekeeping) and checks
+    ``stop``, which therefore takes effect within IDLE_TICK_S.
+    """
+    sock.setblocking(True)
+    usec = int(IDLE_TICK_S * 1e6)
+    sock.setsockopt(
+        socket.SOL_SOCKET, socket.SO_RCVTIMEO, struct.pack("@ll", usec // 1_000_000, usec % 1_000_000)
+    )
+    recv = sock.recv
+    while not stop.is_set():
+        try:
+            datagram = recv(bufsize)
+        except BlockingIOError:  # SO_RCVTIMEO expired with nothing queued
+            datagram = None
+        except OSError:  # closed under us
+            return
+        yield datagram

@@ -15,17 +15,30 @@ share of the slot table.
 Every ingested packet lands in exactly one of four counters (applied,
 duplicate, stale, malformed), which keeps accounting losslessly
 reconcilable against sender and balancer counters.
+
+Per datagram the socket loop makes one ``recv`` and ``ingest_packet``
+does one header unpack with an inline version check.  A fragment that
+carries a whole channel (offset 0, every octet of the channel) skips
+the reassembly buffer; fragments that arrive in order append to the
+buffer's last interval, and only a gap or an overlap falls back to the
+interval list.  Ticks enter a min-heap when first seen, so the 64-tick
+window evicts from its low end instead of rescanning every tick.
 """
 
 from __future__ import annotations
 
+import errno
+import heapq
 import logging
+import os
 import socket
 import threading
+import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from . import netutil, wire
+from . import netutil
+from .wire import RE_HEADER_SIZE, WIRE_VERSION, unpack_re_header
 from .controlplane import FillReport
 from .sender import Event
 
@@ -44,6 +57,7 @@ log = logging.getLogger(__name__)
 REASSEMBLY_TIMEOUT_S = 2.0
 TICK_WINDOW = 64
 QUEUE_CAPACITY_DEFAULT = 256
+EXPIRE_INTERVAL_S = 0.25
 
 
 class PidController:
@@ -110,9 +124,18 @@ class ReassemblyBuffer:
             self.got_zero = True
             return "applied"
         start, end = offset, offset + len(chunk)
+        intervals = self.intervals
+        if not intervals or start >= intervals[-1][1]:
+            # in order (or past a gap): nothing can overlap, nothing re-sorts
+            self.data[start:end] = chunk
+            if intervals and start == intervals[-1][1]:
+                intervals[-1] = (intervals[-1][0], end)
+            else:
+                intervals.append((start, end))
+            return "applied"
         overlap_equal = True
         overlaps = False
-        for s, e in self.intervals:
+        for s, e in intervals:
             lo, hi = max(s, start), min(e, end)
             if lo < hi:
                 overlaps = True
@@ -125,10 +148,10 @@ class ReassemblyBuffer:
                 return "mismatch"
             return "duplicate"
         self.data[start:end] = chunk
-        self.intervals.append((start, end))
-        self.intervals.sort()
-        merged = [self.intervals[0]]
-        for s, e in self.intervals[1:]:
+        intervals.append((start, end))
+        intervals.sort()
+        merged = [intervals[0]]
+        for s, e in intervals[1:]:
             if s == merged[-1][1]:
                 merged[-1] = (merged[-1][0], e)
             else:
@@ -201,6 +224,7 @@ class Receiver:
         self.tick_channels: dict = {}  # tick -> {channel: payload}
         self.delivered_ticks: set = set()
         self.newest_completed: int | None = None
+        self._ticks: list = []  # min-heap of ticks holding any state above
 
         self.session_id: int | None = None
         self.ready = True
@@ -234,21 +258,19 @@ class Receiver:
         """
         c = self.counters
         c["ingested"] += 1
-        try:
-            header = wire.decode_re_header(datagram)
-        except wire.WireError:
+        if len(datagram) < RE_HEADER_SIZE:
             c["malformed"] += 1
             return None
-        body = datagram[wire.RE_HEADER_SIZE :]
-        tick, channel = header.tick, header.channel
-        if channel not in self.expected_channels:
+        word0, channel, offset, total_length, tick = unpack_re_header(datagram)
+        if word0 >> 12 != WIRE_VERSION or channel not in self.expected_channels:
             c["malformed"] += 1
             return None
-        if header.total_length == 0:
-            if header.offset != 0 or body:
+        size = len(datagram) - RE_HEADER_SIZE
+        if total_length == 0:
+            if offset or size:
                 c["malformed"] += 1
                 return None
-        elif header.offset + len(body) > header.total_length or not body:
+        elif offset + size > total_length or not size:
             c["malformed"] += 1
             return None
         if self.newest_completed is not None and tick < self.newest_completed - self.tick_window:
@@ -259,21 +281,25 @@ class Receiver:
             return None
         key = (tick, channel)
         buf = self.buffers.get(key)
-        if buf is None and channel in self.tick_channels.get(tick, ()):
-            c["duplicate"] += 1  # channel already completed for this tick
-            return None
         if buf is None:
+            done = self.tick_channels.get(tick)
+            if done is not None and channel in done:
+                c["duplicate"] += 1  # channel already completed for this tick
+                return None
+            self._track(tick, now_ns)
+            if size == total_length:  # the whole channel in one fragment
+                c["applied"] += 1
+                return self._complete(tick, channel, datagram[RE_HEADER_SIZE:])
             buf = ReassemblyBuffer(
-                tick=tick, channel=channel, total_length=header.total_length, first_seen_ns=now_ns
+                tick=tick, channel=channel, total_length=total_length, first_seen_ns=now_ns
             )
             self.buffers[key] = buf
-            self.tick_first_seen.setdefault(tick, now_ns)
-        if buf.total_length != header.total_length:
+        elif buf.total_length != total_length:
             buf.poisoned = True
             c["overlap_mismatch"] += 1
             c["malformed"] += 1
             return None
-        verdict = buf.insert(header.offset, body)
+        verdict = buf.insert(offset, datagram[RE_HEADER_SIZE:])
         if verdict == "duplicate":
             c["duplicate"] += 1
             return None
@@ -284,14 +310,23 @@ class Receiver:
         c["applied"] += 1
         if not buf.complete:
             return None
-        c["completed_buffers"] += 1
-        payload = buf.payload()
         del self.buffers[key]
-        self.tick_channels.setdefault(tick, {})[channel] = payload
+        return self._complete(tick, channel, buf.payload())
+
+    def _track(self, tick: int, now_ns: int):
+        """Note a tick's first state and queue it for window eviction."""
+        if tick not in self.tick_first_seen:
+            self.tick_first_seen[tick] = now_ns
+            heapq.heappush(self._ticks, tick)
+
+    def _complete(self, tick: int, channel: int, payload: bytes):
+        self.counters["completed_buffers"] += 1
+        channels = self.tick_channels.setdefault(tick, {})
+        channels[channel] = payload
         if self.newest_completed is None or tick > self.newest_completed:
             self.newest_completed = tick
             self._evict_below_window()
-        if set(self.tick_channels[tick]) == self.expected_channels:
+        if len(channels) == len(self.expected_channels):  # keys are expected channels
             self._deliver(tick)
         return (tick, channel, payload)
 
@@ -308,18 +343,24 @@ class Receiver:
         if self.on_event is not None:
             self.on_event(tick, event)
 
+    def _forget(self, tick: int) -> int:
+        """Drop a tick's partial state; returns buffers and channel sets dropped."""
+        self.tick_first_seen.pop(tick, None)
+        dropped = 0 if self.tick_channels.pop(tick, None) is None else 1
+        for channel in self.expected_channels:
+            if self.buffers.pop((tick, channel), None) is not None:
+                dropped += 1
+        return dropped
+
     def _evict_below_window(self):
         floor = self.newest_completed - self.tick_window
-        for tick, ch in [k for k in self.buffers if k[0] < floor]:
-            del self.buffers[(tick, ch)]
-            self.counters["stale_buffers"] += 1
-        for tick in [t for t in self.tick_channels if t < floor]:
-            del self.tick_channels[tick]
-            self.tick_first_seen.pop(tick, None)
-            self.counters["stale_buffers"] += 1
-        self.delivered_ticks = {t for t in self.delivered_ticks if t >= floor}
-        for tick in [t for t in self.tick_first_seen if t < floor]:
-            self.tick_first_seen.pop(tick, None)
+        ticks = self._ticks
+        while ticks and ticks[0] < floor:
+            tick = heapq.heappop(ticks)
+            if tick in self.delivered_ticks:
+                self.delivered_ticks.discard(tick)  # delivery left no other state
+            else:
+                self.counters["stale_buffers"] += self._forget(tick)
 
     def expire(self, now_ns: int) -> list:
         """Abandon ticks stuck past the reassembly timeout."""
@@ -327,14 +368,15 @@ class Receiver:
             t for t, seen in self.tick_first_seen.items() if now_ns - seen >= self.timeout_ns
         ]
         for tick in expired:
-            self.tick_first_seen.pop(tick, None)
-            self.tick_channels.pop(tick, None)
-            for key in [k for k in self.buffers if k[0] == tick]:
-                del self.buffers[key]
+            self._forget(tick)
             self.counters["timeouts"] += 1
             if self.on_timeout is not None:
                 self.on_timeout(tick)
             log.debug("tick %d abandoned after reassembly timeout", tick)
+        if len(self._ticks) > 2 * (len(self.tick_first_seen) + len(self.delivered_ticks)) + self.tick_window:
+            # Expired ticks stay in the heap until the window passes them,
+            # which never happens while nothing completes: keep it bounded.
+            self._ticks = sorted(self.tick_first_seen.keys() | self.delivered_ticks)
         return expired
 
     # --- queue and feedback --------------------------------------------------
@@ -364,54 +406,87 @@ class Receiver:
 
 
 class UdpReceiver:
-    """Socket front end: one port per channel group, shared Receiver."""
+    """Socket front end: one port per channel group, shared Receiver.
+
+    The ports are consecutive, because the balancer addresses channel c
+    at base_port + c mod port_count.  With base_port 0 the first port is
+    ephemeral and the rest are bound after it, retrying on a collision.
+    """
+
+    BIND_ATTEMPTS = 32
 
     def __init__(self, core: Receiver, listen_ip: str, base_port: int, port_count: int, rcvbuf: int = 8 << 20):
         if port_count < 1 or port_count & (port_count - 1):
             raise ValueError(f"port_count {port_count} is not a power of two")
         self.core = core
-        self.socks = []
-        for i in range(port_count):
-            s = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-            netutil.request_buffer(s, "recv", rcvbuf)
-            s.bind((listen_ip, base_port + i if base_port else 0))
-            self.socks.append(s)
+        if base_port:
+            self.socks = self._bind_range(listen_ip, base_port, port_count, rcvbuf)
+        else:
+            self.socks = self._bind_ephemeral_range(listen_ip, port_count, rcvbuf)
         self.base_port = self.socks[0].getsockname()[1]
         self._stop = threading.Event()
         self._threads = []
         self._lock = threading.Lock()  # one ingest at a time into the core
+
+    @staticmethod
+    def _bind_range(listen_ip: str, base_port: int, port_count: int, rcvbuf: int) -> list:
+        socks = []
+        try:
+            for i in range(port_count):
+                s = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+                socks.append(s)
+                netutil.request_buffer(s, "recv", rcvbuf)
+                s.bind((listen_ip, base_port + i))
+        except BaseException:
+            for s in socks:
+                s.close()
+            raise
+        return socks
+
+    @classmethod
+    def _bind_ephemeral_range(cls, listen_ip: str, port_count: int, rcvbuf: int) -> list:
+        for _ in range(cls.BIND_ATTEMPTS):
+            (first,) = cls._bind_range(listen_ip, 0, 1, rcvbuf)
+            base = first.getsockname()[1]
+            if base + port_count - 1 > 0xFFFF:
+                first.close()
+                continue
+            try:
+                return [first] + cls._bind_range(listen_ip, base + 1, port_count - 1, rcvbuf)
+            except OSError as exc:
+                first.close()
+                if exc.errno != errno.EADDRINUSE:
+                    raise
+        raise OSError(errno.EADDRINUSE, f"no {port_count} consecutive free ports after {cls.BIND_ATTEMPTS} tries")
 
     @property
     def ports(self) -> list:
         return [s.getsockname()[1] for s in self.socks]
 
     def start(self):
-        import time as _time
-
-        for s in self.socks:
-            t = threading.Thread(target=self._ingest_loop, args=(s, _time.time_ns), daemon=True)
+        for i, s in enumerate(self.socks):
+            t = threading.Thread(target=self._ingest_loop, args=(s, i == 0), daemon=True)
             t.start()
             self._threads.append(t)
-        t = threading.Thread(target=self._housekeeping, args=(_time.time_ns,), daemon=True)
-        t.start()
-        self._threads.append(t)
 
-    def _ingest_loop(self, sock, clock):
-        sock.settimeout(0.2)
-        while not self._stop.is_set():
-            try:
-                datagram = sock.recv(65535)
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            with self._lock:
-                self.core.ingest_packet(datagram, clock())
-
-    def _housekeeping(self, clock):
-        while not self._stop.wait(0.25):
-            with self._lock:
-                self.core.expire(clock())
+    def _ingest_loop(self, sock, housekeeping: bool):
+        """Ingest until stopped; the first port's loop also expires stuck ticks."""
+        core, lock, clock = self.core, self._lock, time.time_ns
+        interval_ns = int(EXPIRE_INTERVAL_S * 1e9)
+        next_expire = clock() + interval_ns
+        queue = core.queue
+        for datagram in netutil.recv_datagrams(sock, self._stop):
+            now = clock()
+            with lock:
+                completed = datagram is not None and core.ingest_packet(datagram, now)
+                if housekeeping and now >= next_expire:
+                    core.expire(now)
+                    next_expire = now + interval_ns
+            if completed and len(queue) * 2 > queue.capacity:
+                # A burst drains faster than one interpreter switch interval;
+                # on a shared CPU the consumer would not run before the queue
+                # evicts.  Yielding with the GIL released hands it a turn.
+                os.sched_yield()
 
     def stop(self):
         self._stop.set()

@@ -71,6 +71,8 @@ __all__ = [
     "decode_re_header",
     "encode_sync",
     "decode_sync",
+    "unpack_lb_header",
+    "unpack_re_header",
 ]
 
 
@@ -104,6 +106,12 @@ SYNC_SIZE = _SYNC_STRUCT.size
 
 # sender-side octets added per datagram: both headers
 DATAGRAM_OVERHEAD = LB_HEADER_SIZE + RE_HEADER_SIZE
+
+# Raw field tuples for the per-datagram paths, which check length, magic
+# and version inline rather than build a header object per datagram.
+# Callers guarantee the length; a short buffer raises struct.error.
+unpack_lb_header = _LB_STRUCT.unpack_from  # magic, version, protocol, reserved, channel, tick
+unpack_re_header = _RE_STRUCT.unpack_from  # version<<12|reserved, channel, offset, total, tick
 
 assert LB_HEADER_SIZE == 16
 assert RE_HEADER_SIZE == 20

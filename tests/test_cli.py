@@ -1,15 +1,18 @@
 """Command line entry points, including one full loopback pipeline."""
 
 import json
+import os
 import signal
 import socket
 import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
-from streamlb import cli
+import streamlb
+from streamlb import cli, controlplane, wire
 from streamlb.control import ControlClient
 from streamlb.sender import event_digest, synth_events
 
@@ -17,6 +20,19 @@ from streamlb.sender import event_digest, synth_events
 def _write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+# Child processes import this checkout's package, installed or not.
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(streamlb.__file__)))
+_CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])),
+}
+
+
+def _streamlb(command, *args):
+    """argv for one CLI role through ``python -m streamlb``."""
+    return [sys.executable, "-m", "streamlb", command, *args]
 
 
 # --- lb-sim ------------------------------------------------------------------
@@ -233,6 +249,34 @@ def test_recv_rejects_bad_port_count(capsys):
     assert "power of two" in capsys.readouterr().err
 
 
+def test_sync_listener_feeds_control_plane_and_stops_promptly():
+    cp = controlplane.ControlPlane()
+    iid = cp.reserve_instance()
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    sock.bind(("127.0.0.1", 0))
+    stop = threading.Event()
+    listener = threading.Thread(target=cli._sync_listener, args=(sock, cp, iid, stop), daemon=True)
+    listener.start()
+    try:
+        out = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        out.sendto(b"not a sync message", sock.getsockname())
+        out.sendto(wire.encode_sync(wire.SyncMessage(1, 500, 100, time.time_ns())), sock.getsockname())
+        out.close()
+        deadline = time.monotonic() + 2.0
+        while cp.sync_rate.get(iid) != 100 and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert cp.sync_rate.get(iid) == 100
+        time.sleep(0.3)  # parked in recv with nothing to read
+    finally:
+        t0 = time.monotonic()
+        stop.set()
+        listener.join(timeout=2.0)
+        elapsed = time.monotonic() - t0
+        sock.close()
+    assert not listener.is_alive()
+    assert elapsed < 1.0
+
+
 # --- full pipeline over loopback ----------------------------------------------
 
 
@@ -248,7 +292,8 @@ def test_pipeline_end_to_end(tmp_path):
         },
     )
     lb = subprocess.Popen(
-        ["lb-run", "--config", config],
+        _streamlb("run", "--config", config),
+        env=_CHILD_ENV,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
@@ -263,11 +308,12 @@ def test_pipeline_end_to_end(tmp_path):
         sync = f"127.0.0.1:{ready['instances']['0']['sync'][1]}"
 
         recv = subprocess.Popen(
-            [
-                "lb-recv", "--cp", control, "--listen", "127.0.0.1",
+            _streamlb(
+                "recv", "--cp", control, "--listen", "127.0.0.1",
                 "--channels", "2", "--ports", "1", "--queue", "1024",
                 "--sink", "checksum",
-            ],
+            ),
+            env=_CHILD_ENV,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
@@ -282,10 +328,11 @@ def test_pipeline_end_to_end(tmp_path):
             pytest.fail("receiver never registered")
 
         send = subprocess.run(
-            [
-                "lb-send", "--lb", data, "--control", sync,
+            _streamlb(
+                "send", "--lb", data, "--control", sync,
                 "--rate", "40", "--synth", "160,2,200", "--seed", "7",
-            ],
+            ),
+            env=_CHILD_ENV,
             capture_output=True,
             text=True,
             timeout=30,
@@ -324,7 +371,8 @@ def test_pipeline_end_to_end(tmp_path):
             recv.kill()
         lb.send_signal(signal.SIGTERM)
         try:
-            lb.wait(timeout=10)
+            lb.communicate(timeout=10)  # also closes its pipes
         except subprocess.TimeoutExpired:
             lb.kill()
+            lb.communicate()
     assert lb.returncode == 0

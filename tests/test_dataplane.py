@@ -1,7 +1,9 @@
 """Data plane: epoch selection, slot routing, drops, schedule lifecycle."""
 
 import random
+import socket
 import threading
+import time
 
 import pytest
 
@@ -18,6 +20,7 @@ from streamlb.dataplane import (
     NoEpoch,
     NullSlot,
     StaleBoundary,
+    UdpDataPlane,
     dest_port,
 )
 
@@ -356,3 +359,142 @@ def test_schedule_swap_is_atomic_under_concurrent_forwarding():
     assert errors == []
     c = inst.counters()
     assert c["forwarded"] + c["dropped"] == c["received"]
+
+
+# --- forward_packet against a reference model ---------------------------------
+
+_WIRE_DROPS = {
+    wire.BadMagic: DropReason.BAD_MAGIC,
+    wire.BadVersion: DropReason.BAD_VERSION,
+    wire.Truncated: DropReason.TRUNCATED,
+}
+
+
+def reference_forward(inst, dg, model):
+    """Route with the public decoder and selectors; update model counters."""
+    model["received"] += 1
+    try:
+        header = wire.decode_lb_header(dg)
+    except wire.WireError as exc:
+        outcome = (_WIRE_DROPS[type(exc)], None)
+    else:
+        tick = header.tick
+        try:
+            sid = inst.select_member(inst.select_epoch(tick), tick)
+        except NoEpoch:
+            outcome = (DropReason.NO_EPOCH, tick)
+        except NullSlot:
+            outcome = (DropReason.NULL_SLOT, tick)
+        else:
+            member = inst.members.get(sid)
+            if member is None or member.state is MemberState.RETIRED:
+                outcome = (DropReason.UNKNOWN_MEMBER, tick)
+            else:
+                model["forwarded"] += 1
+                by = model["forwarded_by_member"]
+                by[sid] = by.get(sid, 0) + 1
+                if model["max_forwarded_tick"] is None or tick > model["max_forwarded_tick"]:
+                    model["max_forwarded_tick"] = tick
+                return ("forward", (member.dest_ip, dest_port(member, header.channel)), dg[16:], sid, tick)
+    reason, tick = outcome
+    drops = model["dropped_by_reason"]
+    drops[reason.value] = drops.get(reason.value, 0) + 1
+    model["dropped"] += 1
+    return ("drop", reason, tick)
+
+
+def observed(action):
+    if isinstance(action, ForwardAction):
+        return ("forward", action.dest, action.payload, action.session_id, action.tick)
+    assert isinstance(action, Drop)
+    return ("drop", action.reason, action.tick)
+
+
+def test_forward_matches_reference_model():
+    for seed in range(8):
+        rng = random.Random(seed)
+        inst = LbInstance(instance_id=0)
+        model = {
+            "received": 0, "forwarded": 0, "forwarded_by_member": {},
+            "dropped_by_reason": {}, "dropped": 0, "max_forwarded_tick": None,
+        }
+        next_sid = 1
+        boundary = rng.randint(0, 5_000)
+
+        def register():
+            nonlocal next_sid
+            inst.members[next_sid] = MemberSession(
+                session_id=next_sid, dest_ip=f"10.0.{seed}.{next_sid}",
+                base_port=20_000 + 16 * next_sid, port_count=rng.choice([1, 2, 4, 8]),
+            )
+            next_sid += 1
+
+        for _ in range(3):
+            register()
+        for step in range(300):
+            roll = rng.random()
+            active = [s for s, m in inst.members.items() if m.state is MemberState.ACTIVE]
+            if roll < 0.15 and active:
+                choices = active + [None]
+                table = tuple(rng.choice(choices) for _ in range(SLOT_COUNT))
+                inst.apply_schedule(boundary, table)
+                boundary += rng.randint(1, 3_000)
+            elif roll < 0.20 and len(active) > 1:
+                drain(inst, rng.choice(active), since_ns=step * S)
+            elif roll < 0.25:
+                inst.retire_expired(now_ns=step * S)
+            elif roll < 0.28:
+                register()
+            elif roll < 0.30 and inst.members:
+                inst.members.pop(rng.choice(list(inst.members)))  # vanished behind a live table
+            elif roll < 0.32 and inst.members:
+                # free_instance marks members retired before it clears them
+                inst.members[rng.choice(list(inst.members))].state = MemberState.RETIRED
+            edges = [e.boundary_tick + d for e in inst.epochs for d in (-2, -1, 0, 1)] or [0]
+            for _ in range(40):
+                kind = rng.random()
+                tick = rng.choice(edges) if kind < 0.4 else rng.randint(0, boundary + 2_000)
+                tick = max(tick, 0)
+                dg = datagram(tick, channel=rng.randint(0, 0xFFFF), payload=rng.randbytes(rng.randint(0, 30)))
+                if kind > 0.9:
+                    dg = rng.choice([
+                        rng.randbytes(rng.randint(0, 40)),
+                        dg[: rng.randint(0, 15)],
+                        b"LB\x02" + dg[3:],
+                        b"XB" + dg[2:],
+                    ])
+                want = reference_forward(inst, dg, model)
+                assert observed(inst.forward_packet(dg)) == want
+        c = inst.counters()
+        assert c == model
+        assert c["forwarded"] > 1_000 and len(c["dropped_by_reason"]) >= 5
+
+
+# --- socket front end -----------------------------------------------------------
+
+
+def test_udp_dataplane_forwards_and_stops_promptly_without_traffic():
+    sink = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    sink.bind(("127.0.0.1", 0))
+    sink.settimeout(2.0)
+    inst = LbInstance(instance_id=0, listen=("127.0.0.1", 0))
+    inst.members[1] = MemberSession(
+        session_id=1, dest_ip="127.0.0.1", base_port=sink.getsockname()[1], port_count=1
+    )
+    inst.apply_schedule(0, full_table(1))
+    dp = UdpDataPlane(inst)
+    dp.start()
+    try:
+        out = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        dg = datagram(7, payload=b"through")
+        out.sendto(dg, dp.address)
+        out.close()
+        assert sink.recv(100) == dg[16:]
+        time.sleep(0.3)  # the loop is parked in recv again
+    finally:
+        t0 = time.monotonic()
+        dp.stop()
+        elapsed = time.monotonic() - t0
+        sink.close()
+    assert elapsed < 1.0
+    assert not dp._thread.is_alive()
