@@ -339,9 +339,10 @@ def main_recv(argv=None) -> int:
 
     stop = threading.Event()
     _install_stop_handlers(stop)
+    flushed = threading.Event()  # set once ingest is over: drain the queue, then quit
 
     def consume_loop():
-        while not (stop.is_set() and len(core.queue) == 0):
+        while not (flushed.is_set() and len(core.queue) == 0):
             event = core.pop_event(block=True, timeout=0.1)
             if event is not None:
                 consume(event)
@@ -373,17 +374,37 @@ def main_recv(argv=None) -> int:
             pass
         except (OSError, ConnectionError):
             pass
-    # Let queued events flush through the sink before tearing down.
-    deadline = time.monotonic() + 5.0
-    while len(core.queue) and time.monotonic() < deadline:
-        time.sleep(0.05)
-    stop.set()
-    consumer.join(timeout=2.0)
+    _drain_ingest(core)
     front.stop()
+    flushed.set()
+    consumer.join(timeout=5.0)
     client.close()
     close_sink()
     log.info("counters %s", core.counters)
     return 1 if lost_control else 0
+
+
+def _drain_ingest(core: receiver.Receiver):
+    """Keep ingesting after deregistering until the ports go quiet.
+
+    The balancer routes this member's slots until the next epoch
+    boundary passes, so traffic keeps arriving for a while; closing the
+    sockets at once would strand those events.  Returns once nothing has
+    arrived for two idle ticks, or after the drain delay at the latest.
+    """
+    quiet_s = 2 * netutil.IDLE_TICK_S
+    deadline = time.monotonic() + controlplane.DRAIN_DELAY_S
+    seen, quiet_since = core.counters["ingested"], time.monotonic()
+    while True:
+        time.sleep(netutil.IDLE_TICK_S / 4)
+        now = time.monotonic()
+        if now >= deadline:
+            return
+        ingested = core.counters["ingested"]
+        if ingested != seen:
+            seen, quiet_since = ingested, now
+        elif now - quiet_since >= quiet_s:
+            return
 
 
 # --- lb-sim ----------------------------------------------------------------

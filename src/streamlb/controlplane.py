@@ -315,7 +315,6 @@ class ControlPlane:
                 base_port=base_port,
                 port_count=port_count,
                 weight=initial_weight,
-                admitted_epoch=inst.next_epoch_id,
                 registered_at=self.clock(),
             )
             self.feedback[sid] = _SessionFeedback()
@@ -481,7 +480,6 @@ class ControlPlane:
                         "base_port": m.base_port,
                         "port_count": m.port_count,
                         "state": m.state.value,
-                        "admitted_epoch": m.admitted_epoch,
                         "draining_since": m.draining_since,
                         "weight": m.weight,
                         "registered_at": m.registered_at,
@@ -557,7 +555,6 @@ class ControlPlane:
                     base_port=mdata["base_port"],
                     port_count=mdata["port_count"],
                     state=MemberState(mdata["state"]),
-                    admitted_epoch=mdata["admitted_epoch"],
                     draining_since=mdata["draining_since"],
                     weight=mdata["weight"],
                     registered_at=mdata["registered_at"],

@@ -90,7 +90,6 @@ class MemberSession:
     base_port: int
     port_count: int
     state: MemberState = MemberState.ACTIVE
-    admitted_epoch: int | None = None
     draining_since: int | None = None  # ns, set on deregister
     weight: float = 1.0
     registered_at: int = 0  # ns

@@ -9,7 +9,8 @@ shuffle was mean enough.
 
 Every random draw comes from an RNG derived from (seed, label), so two
 hops in one scenario impair independently yet the whole run replays
-bit-for-bit from the scenario seed.
+bit-for-bit from the scenario seed.  An identity profile draws nothing
+and buffers nothing: each packet is delivered at its submission time.
 """
 
 from __future__ import annotations
@@ -83,6 +84,8 @@ class ImpairHop:
         if profile.seed is not None:
             seed = profile.seed
         self.rng = derive_rng(seed, label)
+        self._identity = profile.is_identity
+        self._delay_ns = int(profile.delay_ms * MS)  # the whole delay when there is no jitter
         self._entry = 0
         self._seq = 0
         self._pending: list = []  # heap of (release_key, seq, packet)
@@ -91,28 +94,41 @@ class ImpairHop:
         self.duplicated = 0
 
     def submit(self, now_ns: int, packet):
+        self.submitted += 1
+        if self._identity:
+            return [(now_ns, packet)], ()
         p = self.profile
+        rng = self.rng
         k = self._entry
         self._entry += 1
-        self.submitted += 1
         copies = 1
-        if p.duplicate_prob and self.rng.random() < p.duplicate_prob:
+        if p.duplicate_prob and rng.random() < p.duplicate_prob:
             copies = 2
             self.duplicated += 1
         dropped = []
         for _ in range(copies):
-            if p.loss_prob and self.rng.random() < p.loss_prob:
+            if p.loss_prob and rng.random() < p.loss_prob:
                 self.lost += 1
                 dropped.append(packet)
                 continue
-            key = k + self.rng.randint(0, p.reorder_depth) if p.reorder_depth else k
+            key = k
+            if p.reorder_depth:
+                # rng.randint(0, depth) without its three Python frames:
+                # the same rejection sampling on getrandbits, the same draws
+                n = p.reorder_depth + 1
+                bits = n.bit_length()
+                r = rng.getrandbits(bits)
+                while r >= n:
+                    r = rng.getrandbits(bits)
+                key += r
             # ties release newest-first, otherwise depth 1 could never swap
             heapq.heappush(self._pending, (key, -self._seq, packet))
             self._seq += 1
         deliveries = []
-        while self._pending and self._pending[0][0] <= k:
-            _, _, pkt = heapq.heappop(self._pending)
-            deliveries.append((self._deliver_at(now_ns), pkt))
+        pending = self._pending
+        while pending and pending[0][0] <= k:
+            pkt = heapq.heappop(pending)[2]
+            deliveries.append((self._deliver_at(now_ns) if p.jitter_ms else now_ns + self._delay_ns, pkt))
         return deliveries, dropped
 
     def flush(self, now_ns: int) -> list:

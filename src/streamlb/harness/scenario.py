@@ -12,6 +12,16 @@ evicted, timeout, dp_dropped, lost, ...), so assertions are exact
 counts, not sampled estimates.  The per-second cadence inside a
 simulated second is fixed: sender syncs at +0.05, receiver fill
 reports at +0.30, the control pass at +0.50.
+
+Ordering contract: events run in virtual-time order, and events due at
+the same nanosecond run in the order they were scheduled.  The loop
+keeps that order cheaply.  Work scheduled for the current instant goes
+to a FIFO that runs after the heap entries due now (those were all
+scheduled earlier); only future work enters the heap.  A sender's emits
+are not queued up front: its block of tie-break numbers is reserved
+when it starts, and each emit queues the next one under its reserved
+number, so the heap holds one emit per sender and every emit keeps the
+place it would have had among the rest.
 """
 
 from __future__ import annotations
@@ -21,7 +31,7 @@ import json
 import logging
 import os
 import tempfile
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from ..controlplane import ControlPlane, UnknownSession
@@ -224,6 +234,8 @@ class _SimMember:
 class _SimSender:
     spec: SenderSpec
     rng: object = None
+    start_ns: int = 0
+    seq: int = 0  # emit i >= 1 enters the heap with tie-break number seq + i
     latest_tick: int | None = None
     emitted: int = 0
     emitted_at_sync: int = 0
@@ -234,7 +246,9 @@ class _Run:
     def __init__(self, sc: Scenario):
         self.sc = sc
         self._validate(sc)
-        self._heap: list = []
+        self._heap: list = []  # (t_ns, seq, fn, args), future work only
+        self._fifo: deque = deque()  # (fn, args) due at _instant, in scheduling order
+        self._instant = None  # the virtual ns the loop is at; None while setting up
         self._seq = 0
         self.now_ns = 0
         self._total_ns = int((sc.duration_s + sc.tail_s) * S)
@@ -286,48 +300,62 @@ class _Run:
     def _at(self, t_ns: int, fn, *args):
         if t_ns > self._total_ns:
             return  # nothing persists past the tail; pumps and phases die here
-        self._seq += 1
-        heapq.heappush(self._heap, (t_ns, self._seq, fn, args))
+        if t_ns == self._instant:
+            self._fifo.append((fn, args))
+        else:
+            self._seq += 1
+            heapq.heappush(self._heap, (t_ns, self._seq, fn, args))
 
     def run(self) -> ScenarioReport:
-        sc = self.sc
         try:
-            for mspec in sc.members:
-                self._add_member(mspec)
-            horizon = int(sc.duration_s + sc.tail_s)
-            for k in range(horizon + 1):
-                self._at(int((k + SYNC_PHASE_S) * S), self._sync_phase)
-                self._at(int((k + REPORT_PHASE_S) * S), self._report_phase)
-                self._at(int((k + CONTROL_PHASE_S) * S), self._control_phase)
-            t = EXPIRE_PERIOD_S / 2
-            while t <= sc.duration_s + sc.tail_s:
-                self._at(int(t * S), self._expire_phase)
-                t += EXPIRE_PERIOD_S
-            for sspec in sc.senders:
-                sn = _SimSender(spec=sspec, rng=derive_rng(sc.seed, f"sender:{sspec.source_id}"))
-                self.senders.append(sn)
-                start_ns = int(sspec.start_s * S)
-                for i in range(sspec.count):
-                    self._at(start_ns + int(i * S / sspec.rate_hz), self._emit, sn, i)
-            for entry in sc.timeline:
-                if "at_s" not in entry or "action" not in entry:
-                    raise ScenarioError(f"timeline entry needs at_s and action: {entry}")
-                self._at(int(entry["at_s"] * S), self._timeline_action, entry)
-            self._at(int(sc.duration_s * S), self._flush_hops)
-            self._at(int((sc.duration_s + 1.0) * S), self._flush_hops)
-
-            while self._heap:
-                t_ns, _, fn, args = heapq.heappop(self._heap)
-                self._budget -= 1
-                if self._budget <= 0:
-                    raise ScenarioTimeout(
-                        f"{self.sc.name}: event budget exhausted at t={t_ns / S:.3f}s"
-                    )
-                self.now_ns = t_ns
-                fn(*args)
+            self._schedule()
+            self._loop()
             return self._finish()
         finally:
             self._tmp.cleanup()
+
+    def _schedule(self):
+        """Members, per-second phases, senders and the timeline, before t=0 runs."""
+        sc = self.sc
+        for mspec in sc.members:
+            self._add_member(mspec)
+        horizon = int(sc.duration_s + sc.tail_s)
+        for k in range(horizon + 1):
+            self._at(int((k + SYNC_PHASE_S) * S), self._sync_phase)
+            self._at(int((k + REPORT_PHASE_S) * S), self._report_phase)
+            self._at(int((k + CONTROL_PHASE_S) * S), self._control_phase)
+        t = EXPIRE_PERIOD_S / 2
+        while t <= sc.duration_s + sc.tail_s:
+            self._at(int(t * S), self._expire_phase)
+            t += EXPIRE_PERIOD_S
+        for sspec in sc.senders:
+            self._start_sender(sspec, int(sspec.start_s * S))
+        for entry in sc.timeline:
+            if "at_s" not in entry or "action" not in entry:
+                raise ScenarioError(f"timeline entry needs at_s and action: {entry}")
+            self._at(int(entry["at_s"] * S), self._timeline_action, entry)
+        self._at(int(sc.duration_s * S), self._flush_hops)
+        self._at(int((sc.duration_s + 1.0) * S), self._flush_hops)
+
+    def _loop(self):
+        """Run every event; each one, heap or FIFO, spends one unit of budget."""
+        heap, fifo = self._heap, self._fifo
+        heappop, popleft = heapq.heappop, fifo.popleft
+        budget = self._budget
+        now = None
+        while True:
+            if fifo and not (heap and heap[0][0] == now):
+                fn, args = popleft()
+            elif heap:
+                t_ns, _, fn, args = heappop(heap)
+                if t_ns != now:  # time moves only once this instant's FIFO is empty
+                    now = self.now_ns = self._instant = t_ns
+            else:
+                return
+            budget -= 1
+            if budget <= 0:
+                raise ScenarioTimeout(f"{self.sc.name}: event budget exhausted at t={now / S:.3f}s")
+            fn(*args)
 
     # --- membership ------------------------------------------------------------
 
@@ -362,7 +390,9 @@ class _Run:
             setattr(fate, flag, True)
 
     def _on_delivered(self, m: _SimMember, tick: int):
-        fate = self.fates.setdefault(tick, TickFate(tick=tick))
+        fate = self.fates.get(tick)
+        if fate is None:
+            fate = self.fates[tick] = TickFate(tick=tick)
         fate.delivered_to.append(m.spec.name)
         if len(fate.delivered_to) > 1:
             self.report.exactly_once_violations.append(tick)
@@ -377,7 +407,7 @@ class _Run:
     def _pump(self, m: _SimMember, gen: int):
         if m.pump_gen != gen:
             return
-        if m.rx.pop_event() is not None:
+        if len(m.rx.queue) and m.rx.pop_event() is not None:
             m.consumed += 1
         rate = m.spec.service_rate_hz
         if rate > 0:
@@ -441,7 +471,28 @@ class _Run:
 
     # --- traffic ------------------------------------------------------------------
 
+    def _start_sender(self, spec: SenderSpec, start_ns: int):
+        """Queue emit 0 and reserve the tie-break numbers of the rest."""
+        sn = _SimSender(spec=spec, rng=derive_rng(self.sc.seed, f"sender:{spec.source_id}"), start_ns=start_ns)
+        self.senders.append(sn)
+        if spec.count:
+            self._at(start_ns, self._emit, sn, 0)
+            sn.seq = self._seq
+            self._seq += spec.count - 1
+
     def _emit(self, sn: _SimSender, i: int):
+        """Queue emit i+1, then send event i."""
+        spec = sn.spec
+        nxt = i + 1
+        if nxt < spec.count:
+            # Into the heap even when due now: its reserved number precedes
+            # everything still pending at this instant, as it would have.
+            t_ns = sn.start_ns + int(nxt * S / spec.rate_hz)
+            if t_ns <= self._total_ns:
+                heapq.heappush(self._heap, (t_ns, sn.seq + nxt, self._emit, (sn, nxt)))
+        self._send_event(sn, i)
+
+    def _send_event(self, sn: _SimSender, i: int):
         if sn.stopped:
             return
         spec = sn.spec
@@ -452,13 +503,16 @@ class _Run:
         sn.latest_tick = tick  # announce before the bytes leave
         sn.emitted += 1
         fate = self.fates.setdefault(tick, TickFate(tick=tick))
-        for dg in fragment_event(event, spec.mtu):
-            fate.fragments += 1
-            self.report.fragments_sent += 1
-            deliveries, dropped = self.hop_in.submit(self.now_ns, (tick, dg))
-            fate.lost += len(dropped)
+        datagrams = fragment_event(event, spec.mtu)
+        fate.fragments += len(datagrams)
+        self.report.fragments_sent += len(datagrams)
+        submit, at, route, now = self.hop_in.submit, self._at, self._dp_route, self.now_ns
+        for dg in datagrams:
+            deliveries, dropped = submit(now, (tick, dg))
+            if dropped:
+                fate.lost += len(dropped)
             for t_d, (tk, pkt) in deliveries:
-                self._at(t_d, self._dp_route, tk, pkt)
+                at(t_d, route, tk, pkt)
 
     def _dp_route(self, tick: int, datagram: bytes):
         action = self.cp.instances[self.iid].forward_packet(datagram)
@@ -466,11 +520,11 @@ class _Run:
         if isinstance(action, Drop):
             fate.dp_dropped += 1
             return
-        fate.dests.add(action.session_id)
-        deliveries, dropped = self.hop_out.submit(
-            self.now_ns, (tick, action.payload, action.session_id)
-        )
-        fate.lost += len(dropped)
+        sid = action.session_id
+        fate.dests.add(sid)
+        deliveries, dropped = self.hop_out.submit(self.now_ns, (tick, action.payload, sid))
+        if dropped:
+            fate.lost += len(dropped)
         for t_d, (tk, payload, sid) in deliveries:
             self._at(t_d, self._rx_ingest, tk, payload, sid)
 
@@ -500,10 +554,7 @@ class _Run:
                 raise ScenarioError(f"start_sender: source_id {spec.source_id} already running")
             if spec.start_s + spec.count / spec.rate_hz > self.sc.duration_s:
                 raise ScenarioError(f"start_sender: sender {spec.source_id} runs past duration")
-            sn = _SimSender(spec=spec, rng=derive_rng(self.sc.seed, f"sender:{spec.source_id}"))
-            self.senders.append(sn)
-            for i in range(spec.count):
-                self._at(self.now_ns + int(i * S / spec.rate_hz), self._emit, sn, i)
+            self._start_sender(spec, self.now_ns)
         elif action in ("stop", "stop_sender"):
             for sn in self.senders:
                 if sn.spec.source_id == entry["source_id"]:

@@ -23,6 +23,10 @@ the reassembly buffer; fragments that arrive in order append to the
 buffer's last interval, and only a gap or an overlap falls back to the
 interval list.  Ticks enter a min-heap when first seen, so the 64-tick
 window evicts from its low end instead of rescanning every tick.
+
+The hand-off to the consumer is a ``queue.SimpleQueue``: a completed
+event costs one C-level put, and a consumer blocked in ``pop_event``
+waits on a C lock, with no Python condition variable in between.
 """
 
 from __future__ import annotations
@@ -31,11 +35,10 @@ import errno
 import heapq
 import logging
 import os
+import queue
 import socket
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field
 
 from . import netutil
 from .wire import RE_HEADER_SIZE, WIRE_VERSION, unpack_re_header
@@ -99,22 +102,30 @@ class PidController:
         self.prev_error = 0.0
 
 
-@dataclass
 class ReassemblyBuffer:
     """One (tick, channel) in flight: received intervals plus bytes."""
 
-    tick: int
-    channel: int
-    total_length: int
-    first_seen_ns: int
-    data: bytearray = field(default_factory=bytearray)
-    intervals: list = field(default_factory=list)  # sorted disjoint [start, end)
-    poisoned: bool = False
-    got_zero: bool = False
+    __slots__ = ("tick", "channel", "total_length", "first_seen_ns", "data", "intervals", "poisoned", "got_zero")
 
-    def __post_init__(self):
-        if not self.data:
-            self.data = bytearray(self.total_length)
+    def __init__(
+        self,
+        tick: int,
+        channel: int,
+        total_length: int,
+        first_seen_ns: int,
+        data: bytearray | None = None,
+        intervals: list | None = None,
+        poisoned: bool = False,
+        got_zero: bool = False,
+    ):
+        self.tick = tick
+        self.channel = channel
+        self.total_length = total_length
+        self.first_seen_ns = first_seen_ns
+        self.data = data if data else bytearray(total_length)
+        self.intervals = intervals if intervals is not None else []  # sorted disjoint [start, end)
+        self.poisoned = poisoned
+        self.got_zero = got_zero
 
     def insert(self, offset: int, chunk: bytes) -> str:
         """Apply one fragment; returns applied, duplicate, or mismatch."""
@@ -172,32 +183,41 @@ class ReassemblyBuffer:
 
 
 class _BoundedQueue:
-    """FIFO of completed events; overflow evicts the oldest."""
+    """FIFO of completed events; overflow evicts the oldest.
+
+    Built on ``queue.SimpleQueue``, so a push or a pop is one C call and a
+    blocked consumer waits on a C-level lock.  One thread pushes (the
+    ingest side holds the receiver's lock); any thread may pop.  A pop
+    racing an overflowing push can make that push evict the next-oldest
+    event instead of the one just popped; every event still leaves
+    exactly once, popped or evicted.
+    """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self._items: deque = deque()
-        self._lock = threading.Lock()
-        self._ready = threading.Condition(self._lock)
+        self._items = queue.SimpleQueue()
 
     def push(self, event: Event):
-        with self._ready:
-            evicted = None
-            if len(self._items) >= self.capacity:
-                evicted = self._items.popleft()
-            self._items.append(event)
-            self._ready.notify()
-            return evicted
+        """Append an event; returns the event evicted to make room, or None."""
+        items = self._items
+        evicted = None
+        if items.qsize() >= self.capacity:
+            try:
+                evicted = items.get_nowait()
+            except queue.Empty:  # a consumer emptied it meanwhile
+                pass
+        items.put(event)
+        return evicted
 
     def pop(self, block: bool = False, timeout: float | None = None):
-        with self._ready:
-            if block:
-                self._ready.wait_for(lambda: self._items, timeout=timeout)
-            return self._items.popleft() if self._items else None
+        """The oldest event, or None when empty (after up to timeout if blocking)."""
+        try:
+            return self._items.get(block, timeout)
+        except queue.Empty:
+            return None
 
     def __len__(self):
-        with self._lock:
-            return len(self._items)
+        return self._items.qsize()
 
 
 class Receiver:

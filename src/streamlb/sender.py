@@ -111,23 +111,31 @@ class SenderStats:
 
 
 def fragment_event(event: Event, mtu_payload: int = MTU_PAYLOAD_DEFAULT) -> list:
-    """Cut one event into wire datagrams, channels in ascending order."""
+    """Cut one event into wire datagrams, channels in ascending order.
+
+    Each datagram is one 36-octet pack of both headers plus its slice of
+    the payload.  A field that does not fit its wire width raises
+    ValueError, as the header encoders do.
+    """
     if mtu_payload < 1 or mtu_payload > MTU_PAYLOAD_MAX:
         raise OversizeMtu(f"mtu_payload {mtu_payload} outside 1..{MTU_PAYLOAD_MAX}")
+    pack, magic, version = wire.pack_datagram_headers, wire.LB_MAGIC, wire.WIRE_VERSION
+    word0 = version << 12
+    tick = event.tick
     datagrams = []
-    for channel in sorted(event.channels):
-        payload = event.channels[channel]
-        total = len(payload)
-        lb = wire.encode_lb_header(wire.LbMetaHeader(channel=channel, tick=event.tick))
-        offsets = range(0, total, mtu_payload) if total else (0,)
-        for offset in offsets:
-            chunk = payload[offset : offset + mtu_payload]
-            re = wire.encode_re_header(
-                wire.ReassemblyHeader(
-                    channel=channel, offset=offset, total_length=total, tick=event.tick
-                )
-            )
-            datagrams.append(lb + re + chunk)
+    append = datagrams.append
+    try:
+        for channel in sorted(event.channels):
+            payload = event.channels[channel]
+            total = len(payload)
+            if total <= mtu_payload:  # the whole channel in one fragment
+                append(pack(magic, version, 1, 0, channel, tick, word0, channel, 0, total, tick) + payload)
+                continue
+            for offset in range(0, total, mtu_payload):
+                head = pack(magic, version, 1, 0, channel, tick, word0, channel, offset, total, tick)
+                append(head + payload[offset : offset + mtu_payload])
+    except struct.error as exc:
+        raise ValueError(f"field out of range: {exc}") from None
     return datagrams
 
 
@@ -205,8 +213,6 @@ class SharedTickState:
         self._lock = threading.Lock()
         self.latest_tick: int | None = None
         self.events_total = 0
-        self.syncs_sent = 0
-        self.finished = False
 
     def announce(self, first_tick: int):
         with self._lock:
@@ -264,8 +270,6 @@ def stream_events(
                 shared.advance(ev.tick)
     finally:
         stats.duration_s = time.monotonic() - start
-        if shared is not None:
-            shared.finished = True
         if own_sock:
             sock.close()
     return stats
@@ -289,7 +293,6 @@ def send_sync(
         wallclock_ns=time.time_ns(),
     )
     sock.sendto(wire.encode_sync(msg), control_address)
-    shared.syncs_sent += 1
     return True
 
 

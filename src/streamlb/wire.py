@@ -73,6 +73,7 @@ __all__ = [
     "decode_sync",
     "unpack_lb_header",
     "unpack_re_header",
+    "pack_datagram_headers",
 ]
 
 
@@ -113,9 +114,16 @@ DATAGRAM_OVERHEAD = LB_HEADER_SIZE + RE_HEADER_SIZE
 unpack_lb_header = _LB_STRUCT.unpack_from  # magic, version, protocol, reserved, channel, tick
 unpack_re_header = _RE_STRUCT.unpack_from  # version<<12|reserved, channel, offset, total, tick
 
+# Both sender-side headers in one pack, forwarding header first; the
+# layout is _LB_STRUCT's followed by _RE_STRUCT's, with no padding.
+_DATAGRAM_STRUCT = struct.Struct(">2sBBHHQHHIIQ")
+# magic, version, protocol, reserved, channel, tick, version<<12, channel, offset, total, tick
+pack_datagram_headers = _DATAGRAM_STRUCT.pack
+
 assert LB_HEADER_SIZE == 16
 assert RE_HEADER_SIZE == 20
 assert SYNC_SIZE == 28
+assert _DATAGRAM_STRUCT.size == DATAGRAM_OVERHEAD
 
 
 @dataclass(frozen=True)

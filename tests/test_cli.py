@@ -376,3 +376,106 @@ def test_pipeline_end_to_end(tmp_path):
             lb.kill()
             lb.communicate()
     assert lb.returncode == 0
+
+
+def test_leaving_receiver_strands_no_event(tmp_path):
+    # A receiver that leaves mid-stream keeps ingesting until the balancer
+    # stops routing to it, so across both receivers every event arrives
+    # exactly once.
+    config = _write_json(
+        tmp_path / "lb.json",
+        {
+            "control": "127.0.0.1:0",
+            "metrics": "127.0.0.1:0",
+            "instances": [
+                {"instance_id": 0, "listen": "127.0.0.1:0", "sync_listen": "127.0.0.1:0"}
+            ],
+        },
+    )
+    lb = subprocess.Popen(
+        _streamlb("run", "--config", config),
+        env=_CHILD_ENV,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    receivers, send = [], None
+    try:
+        ready_line = lb.stdout.readline()
+        assert ready_line, lb.stderr.read()
+        ready = json.loads(ready_line)
+        control = f"127.0.0.1:{ready['control'][1]}"
+        data = f"127.0.0.1:{ready['instances']['0']['data'][1]}"
+        sync = f"127.0.0.1:{ready['instances']['0']['sync'][1]}"
+        for _ in range(2):
+            receivers.append(
+                subprocess.Popen(
+                    _streamlb(
+                        "recv", "--cp", control, "--listen", "127.0.0.1",
+                        "--channels", "2", "--ports", "1", "--queue", "1024",
+                        "--sink", "checksum",
+                    ),
+                    env=_CHILD_ENV,
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.PIPE,
+                    text=True,
+                )
+            )
+        client = ControlClient(("127.0.0.1", ready["control"][1]))
+        deadline = time.monotonic() + 15.0
+        while time.monotonic() < deadline:
+            members = client.query()["0"]["members"]
+            if len(members) == 2 and all(m["slots"] > 0 for m in members.values()):
+                break  # an epoch covers both, so the stream routes from its first tick
+            time.sleep(0.1)
+        else:
+            pytest.fail("receivers never shared an epoch")
+        client.close()
+
+        count = 250
+        send = subprocess.Popen(
+            _streamlb(
+                "send", "--lb", data, "--control", sync,
+                "--rate", "50", "--synth", f"{count},2,200", "--seed", "11",
+            ),
+            env=_CHILD_ENV,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        time.sleep(2.0)
+        leaver, stayer = receivers
+        leaver.send_signal(signal.SIGTERM)
+        left_out, left_err = leaver.communicate(timeout=20)
+        assert leaver.returncode == 0, left_err
+        send_out, send_err = send.communicate(timeout=30)
+        assert send.returncode == 0, send_err
+        assert json.loads(send_out)["events"] == count
+        time.sleep(1.0)  # let the tail flush through the sink
+        stayer.send_signal(signal.SIGINT)
+        stay_out, stay_err = stayer.communicate(timeout=20)
+        assert stayer.returncode == 0, stay_err
+
+        expected = {ev.tick: event_digest(ev) for ev in synth_events(count, 2, 200, seed=11)}
+        left = [json.loads(l) for l in left_out.splitlines() if l.strip()]
+        stayed = [json.loads(l) for l in stay_out.splitlines() if l.strip()]
+        assert left and stayed, "both receivers must have served part of the stream"
+        ticks = [l["tick"] for l in left + stayed]
+        assert sorted(ticks) == sorted(expected), (
+            f"missing {sorted(set(expected) - set(ticks))[:10]}, "
+            f"{len(ticks) - len(set(ticks))} delivered twice"
+        )
+        for line in left + stayed:
+            assert line["sha256"] == expected[line["tick"]]
+    finally:
+        for proc in receivers + ([send] if send is not None else []):
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        lb.send_signal(signal.SIGTERM)
+        try:
+            lb.communicate(timeout=10)
+        except subprocess.TimeoutExpired:
+            lb.kill()
+            lb.communicate()
+    assert lb.returncode == 0

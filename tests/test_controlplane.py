@@ -542,6 +542,24 @@ def test_snapshot_roundtrip_reproduces_state(tmp_path):
     assert (tmp_path / "again.bin").read_bytes() == (tmp_path / "state.bin").read_bytes()
 
 
+def test_restore_accepts_snapshot_with_admitted_epoch(tmp_path):
+    # Snapshots written before the unread admitted_epoch field was dropped
+    # still carry it per member; restore ignores it.
+    import hashlib
+    import json
+
+    cp, clock, iid = populated_cp(tmp_path)
+    state = cp._dump()
+    for member in state["instances"][str(iid)]["members"]:
+        member["admitted_epoch"] = 1
+    payload = json.dumps(state, sort_keys=True, separators=(",", ":")).encode()
+    path = tmp_path / "older.bin"
+    path.write_bytes(cp_mod.SNAPSHOT_MAGIC + hashlib.sha256(payload).digest() + payload)
+    restored = ControlPlane.restore_state(str(path), clock=clock)
+    assert sorted(restored.instances[iid].members) == sorted(cp.instances[iid].members)
+    assert restored._dump() == cp._dump()
+
+
 def test_snapshot_restore_resumes_scheduling_identically(tmp_path):
     cp, clock, iid = populated_cp(tmp_path)
     path = cp.persist_state()

@@ -1,5 +1,7 @@
 """Impairment model and virtual-clock scenario runner."""
 
+import heapq
+
 import pytest
 
 from streamlb.harness import (
@@ -12,6 +14,8 @@ from streamlb.harness import (
     impair,
     run_scenario,
 )
+from streamlb.harness.impair import derive_rng
+from streamlb.harness.scenario import S, _Run, _SimSender
 
 # --- impairment ---------------------------------------------------------------
 
@@ -379,3 +383,164 @@ def test_assertion_evaluation():
     assert all(r["ok"] for r in results), results
     bad = evaluate_assertions(report, {"delivery_shares": {"shares": {"m1": 0.5}}, "nonsense": 1})
     assert [r["ok"] for r in bad] == [False, False]
+
+
+# --- scheduler -----------------------------------------------------------------
+
+
+class HeapOnlyRun(_Run):
+    """Reference scheduler: every event, same-instant work and all of each
+    sender's emits included, goes through one (time, sequence) heap up front."""
+
+    def _at(self, t_ns, fn, *args):
+        if t_ns > self._total_ns:
+            return
+        self._seq += 1
+        heapq.heappush(self._heap, (t_ns, self._seq, fn, args))
+
+    def _start_sender(self, spec, start_ns):
+        sn = _SimSender(spec=spec, rng=derive_rng(self.sc.seed, f"sender:{spec.source_id}"))
+        self.senders.append(sn)
+        for i in range(spec.count):
+            self._at(start_ns + int(i * S / spec.rate_hz), self._send_event, sn, i)
+
+    def _loop(self):
+        while self._heap:
+            t_ns, _, fn, args = heapq.heappop(self._heap)
+            self._budget -= 1
+            if self._budget <= 0:
+                raise ScenarioTimeout(f"{self.sc.name}: event budget exhausted at t={t_ns / S:.3f}s")
+            self.now_ns = t_ns
+            fn(*args)
+
+
+def _both(spec):
+    sc = Scenario.from_dict(spec)
+    fast, ref = _Run(sc).run(), HeapOnlyRun(Scenario.from_dict(spec)).run()
+    return fast.to_dict(), ref.to_dict()
+
+
+def short_churn():
+    return {
+        "name": "short-churn",
+        "seed": 13,
+        "duration_s": 6.0,
+        "members": [
+            {"name": "m1", "service_rate_hz": 900, "queue_capacity": 512},
+            {"name": "m2", "service_rate_hz": 600, "queue_capacity": 512},
+            {"name": "m3", "service_rate_hz": 600, "queue_capacity": 512},
+        ],
+        "senders": [{"source_id": 1, "rate_hz": 1500, "count": 6000, "size": 4200, "start_s": 1.0}],
+        "impair_in": {"reorder_depth": 8, "duplicate_prob": 0.01},
+        "timeline": [
+            {"at_s": 2.0, "action": "register",
+             "member": {"name": "m4", "service_rate_hz": 600, "queue_capacity": 512}},
+            {"at_s": 3.0, "action": "deregister", "name": "m2"},
+            {"at_s": 4.5, "action": "restart_cp"},
+        ],
+    }
+
+
+def every_action():
+    # Sender 1 carries channel 0 and sender 2, started by the timeline at
+    # sender 1's first emit instant, carries channel 1 of the same ticks,
+    # so every tick's two emits share a virtual nanosecond.
+    both = [0, 1]
+    return {
+        "name": "every-action",
+        "seed": 21,
+        "duration_s": 6.0,
+        "members": [
+            {"name": "m1", "channels": both},  # consumes at the instant of delivery
+            {"name": "m2", "service_rate_hz": 300, "queue_capacity": 64, "channels": both},
+            {"name": "m3", "service_rate_hz": 100, "queue_capacity": 16, "channels": both},
+        ],
+        "senders": [{"source_id": 1, "rate_hz": 500, "count": 1500, "size": 1800, "channels": [0]}],
+        "impair_in": {"reorder_depth": 3, "duplicate_prob": 0.02, "loss_prob": 0.002},
+        "timeline": [
+            {"at_s": 1.0, "action": "start_sender",
+             "sender": {"source_id": 2, "rate_hz": 500, "count": 1500, "size": 700, "channels": [1]}},
+            {"at_s": 1.5, "action": "register",
+             "member": {"name": "m4", "service_rate_hz": 400, "channels": both}},
+            {"at_s": 2.3, "action": "set_service_rate", "name": "m2", "rate_hz": 0},
+            {"at_s": 2.5, "action": "set_service_rate", "name": "m3", "rate_hz": 900},
+            {"at_s": 3.0, "action": "deregister", "name": "m1"},
+            {"at_s": 3.2, "action": "stop_sender", "source_id": 2},  # later ticks time out
+            {"at_s": 3.5, "action": "restart_cp"},
+            {"at_s": 3.6, "action": "set_service_rate", "name": "m2", "rate_hz": 150},
+            {"at_s": 3.8, "action": "stop", "source_id": 1},
+            # emits this close share a virtual nanosecond
+            {"at_s": 4.5, "action": "start_sender",
+             "sender": {"source_id": 9, "rate_hz": 3e9, "count": 7, "size": 100,
+                        "start_tick": 100000, "channels": both}},
+        ],
+    }
+
+
+def test_scheduler_matches_heap_only_reference_on_churn():
+    fast, ref = _both(short_churn())
+    assert fast["fates"]["delivered"] > 5000
+    assert fast == ref
+
+
+def test_scheduler_matches_heap_only_reference_on_every_action():
+    fast, ref = _both(every_action())
+    assert fast["cp_restarts"] == 1
+    assert all(fast["consumed_by_member"][m] > 0 for m in ("m1", "m2", "m3", "m4"))
+    assert {"delivered", "evicted", "timeout"} <= set(fast["fates"])
+    assert fast["ledger"]["100006"] == "delivered"
+    assert fast == ref
+
+
+def test_scheduler_matches_heap_only_reference_with_delayed_outbound_hop():
+    spec = short_churn()
+    spec.update(
+        name="delayed-out",
+        impair_out={"delay_ms": 0.4, "jitter_ms": 0.3, "reorder_depth": 2},
+        impair_in={"reorder_depth": 8, "duplicate_prob": 0.01, "delay_ms": 0.2},
+    )
+    fast, ref = _both(spec)
+    assert fast["hop_counters"]["out"]["submitted"] > 0
+    assert fast == ref
+
+
+@pytest.mark.parametrize("max_events", [40, 3_000, 12_000, 20_000])
+def test_event_budget_runs_out_at_the_same_virtual_time(max_events):
+    spec = {**every_action(), "max_events": max_events}
+    outcomes = []
+    for cls in (_Run, HeapOnlyRun):
+        run = cls(Scenario.from_dict(spec))
+        with pytest.raises(ScenarioTimeout) as exc:
+            run.run()
+        # the same events ran before the budget ran out
+        progress = (run.hop_in.submitted, run.hop_out.submitted, len(run.report.deliveries),
+                    run.report.deliveries[-1:], len(run.report.epoch_log))
+        outcomes.append((str(exc.value), progress))
+    assert outcomes[0] == outcomes[1]
+
+
+def test_identity_hop_delivers_at_submission_without_buffering():
+    hop = ImpairHop(ImpairmentProfile(), seed=3)
+    state = hop.rng.getstate()
+    assert hop.submit(7, "a") == ([(7, "a")], ())
+    assert hop.flush(9) == []
+    assert hop.submitted == 1 and hop.rng.getstate() == state
+
+
+def test_reorder_draws_match_randint():
+    # The hop draws reorder keys without randint's frames; the draws must
+    # be randint's, or seeded scenarios would change.  Reference: the same
+    # release rule fed with randint keys.
+    for depth in (1, 2, 3, 7, 8, 31, 64, 1000):
+        hop = ImpairHop(ImpairmentProfile(reorder_depth=depth), seed=depth)
+        ref = derive_rng(depth, "hop")
+        released, pending, expected = [], [], []
+        for k in range(300):
+            released += [pkt for _, pkt in hop.submit(0, k)[0]]
+            heapq.heappush(pending, (k + ref.randint(0, depth), -k, k))
+            while pending and pending[0][0] <= k:
+                expected.append(heapq.heappop(pending)[2])
+        released += [pkt for _, pkt in hop.flush(0)]
+        expected += [heapq.heappop(pending)[2] for _ in range(len(pending))]
+        assert released == expected
+        assert hop.rng.getstate() == ref.getstate()

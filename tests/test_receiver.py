@@ -5,6 +5,7 @@ import itertools
 import os
 import random
 import socket
+import sys
 import threading
 import time
 
@@ -19,6 +20,7 @@ from streamlb.receiver import (
     ReassemblyBuffer,
     Receiver,
     UdpReceiver,
+    _BoundedQueue,
 )
 from streamlb.sender import Event, fragment_event
 
@@ -266,6 +268,71 @@ def test_pop_fifo_order_and_fill():
     assert rx.pop_event() is None
     assert rx.queue_fill == 0.0
     assert rx.counters["popped"] == 3
+
+
+def test_queue_overflow_returns_the_oldest():
+    q = _BoundedQueue(2)
+    a, b, c = (Event(tick=t, channels={0: b"x"}) for t in (1, 2, 3))
+    assert q.push(a) is None
+    assert q.push(b) is None
+    assert q.push(c) is a
+    assert len(q) == 2
+    assert [q.pop(), q.pop(), q.pop()] == [b, c, None]
+    assert len(q) == 0
+
+
+def test_queue_blocking_pop_times_out_with_none():
+    q = _BoundedQueue(4)
+    t0 = time.monotonic()
+    assert q.pop(block=True, timeout=0.05) is None
+    assert time.monotonic() - t0 >= 0.04
+    ev = Event(tick=7, channels={0: b"x"})
+    threading.Timer(0.02, q.push, args=(ev,)).start()
+    assert q.pop(block=True, timeout=5.0) is ev
+
+
+def test_queue_threaded_stress_loses_and_repeats_nothing():
+    # One producer races three consumers (more threads than cores) on a
+    # small queue with rapid thread switches: every pushed event leaves
+    # exactly once, popped or evicted.
+    n, q = 20_000, _BoundedQueue(16)
+    evicted, popped = [], [[] for _ in range(3)]
+    done = threading.Event()
+    deadline = time.monotonic() + 20.0
+
+    def produce():
+        for tick in range(n):
+            old = q.push(Event(tick=tick, channels={}))
+            if old is not None:
+                evicted.append(old.tick)
+            if time.monotonic() > deadline:
+                break
+        done.set()
+
+    def consume(out):
+        while time.monotonic() < deadline:
+            ev = q.pop(block=True, timeout=0.01)
+            if ev is not None:
+                out.append(ev.tick)
+            elif done.is_set() and len(q) == 0:
+                return
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=produce, daemon=True)]
+        threads += [threading.Thread(target=consume, args=(out,), daemon=True) for out in popped]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    leaving = evicted + [tick for out in popped for tick in out]
+    assert len(leaving) == n
+    assert sorted(leaving) == list(range(n))
+    assert all(out == sorted(out) for out in popped)  # each consumer sees FIFO order
 
 
 def test_make_report_reflects_drain_state():
