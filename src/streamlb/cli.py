@@ -365,16 +365,17 @@ def main_recv(argv=None) -> int:
             break
 
     core.drain()
+    deregistered = False
     if not lost_control:
         try:
             client.deregister(session_id)
+            deregistered = True
         except controlplane.AlreadyDraining:
+            deregistered = True
+        except (controlplane.UnknownSession, OSError, ConnectionError):
             pass
-        except controlplane.UnknownSession:
-            pass
-        except (OSError, ConnectionError):
-            pass
-    _drain_ingest(core)
+    if deregistered:
+        _drain_ingest(core, client, args.instance)
     front.stop()
     flushed.set()
     consumer.join(timeout=5.0)
@@ -384,27 +385,41 @@ def main_recv(argv=None) -> int:
     return 1 if lost_control else 0
 
 
-def _drain_ingest(core: receiver.Receiver):
-    """Keep ingesting after deregistering until the ports go quiet.
+def _drain_ingest(core: receiver.Receiver, client: control.ControlClient, instance_id: int):
+    """Keep ingesting after deregistering until the balancer stops routing here.
 
-    The balancer routes this member's slots until the next epoch
-    boundary passes, so traffic keeps arriving for a while; closing the
-    sockets at once would strand those events.  Returns once nothing has
-    arrived for two idle ticks, or after the drain delay at the latest.
+    A draining member keeps its slots in every retained epoch that names
+    it, so datagrams for ticks below the first boundary without it keep
+    coming.  The control plane's state says when that is over: the
+    session is gone (retired), or the newest epoch gives it no slot and
+    the balancer has already forwarded a tick at or past that epoch's
+    boundary.  Datagrams still in flight then get one idle tick.  The
+    drain delay caps the wait (a stream that has stopped never passes the
+    boundary), and a lost control connection ends it.
     """
-    quiet_s = 2 * netutil.IDLE_TICK_S
     deadline = time.monotonic() + controlplane.DRAIN_DELAY_S
-    seen, quiet_since = core.counters["ingested"], time.monotonic()
-    while True:
-        time.sleep(netutil.IDLE_TICK_S / 4)
-        now = time.monotonic()
-        if now >= deadline:
+    while time.monotonic() < deadline:
+        try:
+            state = client.query(instance_id)[str(instance_id)]
+        except (OSError, ConnectionError, control.ControlProtocolError) as exc:
+            log.error("control connection lost while draining: %s", exc)
             return
-        ingested = core.counters["ingested"]
-        if ingested != seen:
-            seen, quiet_since = ingested, now
-        elif now - quiet_since >= quiet_s:
+        if _routing_ended(state, core.session_id):
+            log.info("balancer no longer routes here; drain done")
+            time.sleep(netutil.IDLE_TICK_S)
             return
+        time.sleep(netutil.IDLE_TICK_S)
+    log.info("drain delay passed; the balancer could still route here")
+
+
+def _routing_ended(state: dict, session_id: int) -> bool:
+    """True once no future datagram of an in-order stream maps to the session."""
+    member = state["members"].get(str(session_id))
+    if member is None or not state["epochs"]:
+        return True
+    boundary = state["epochs"][-1]["boundary_tick"]
+    forwarded = state["counters"]["max_forwarded_tick"]
+    return member["slots"] == 0 and forwarded is not None and forwarded >= boundary
 
 
 # --- lb-sim ----------------------------------------------------------------

@@ -85,7 +85,6 @@ class ImpairHop:
             seed = profile.seed
         self.rng = derive_rng(seed, label)
         self._identity = profile.is_identity
-        self._delay_ns = int(profile.delay_ms * MS)  # the whole delay when there is no jitter
         self._entry = 0
         self._seq = 0
         self._pending: list = []  # heap of (release_key, seq, packet)
@@ -128,7 +127,7 @@ class ImpairHop:
         pending = self._pending
         while pending and pending[0][0] <= k:
             pkt = heapq.heappop(pending)[2]
-            deliveries.append((self._deliver_at(now_ns) if p.jitter_ms else now_ns + self._delay_ns, pkt))
+            deliveries.append((self._deliver_at(now_ns), pkt))
         return deliveries, dropped
 
     def flush(self, now_ns: int) -> list:

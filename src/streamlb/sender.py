@@ -128,10 +128,7 @@ def fragment_event(event: Event, mtu_payload: int = MTU_PAYLOAD_DEFAULT) -> list
         for channel in sorted(event.channels):
             payload = event.channels[channel]
             total = len(payload)
-            if total <= mtu_payload:  # the whole channel in one fragment
-                append(pack(magic, version, 1, 0, channel, tick, word0, channel, 0, total, tick) + payload)
-                continue
-            for offset in range(0, total, mtu_payload):
+            for offset in range(0, total, mtu_payload) or (0,):  # an empty channel is one fragment
                 head = pack(magic, version, 1, 0, channel, tick, word0, channel, offset, total, tick)
                 append(head + payload[offset : offset + mtu_payload])
     except struct.error as exc:

@@ -378,10 +378,32 @@ def test_pipeline_end_to_end(tmp_path):
     assert lb.returncode == 0
 
 
-def test_leaving_receiver_strands_no_event(tmp_path):
+@pytest.mark.parametrize(
+    "rate, count, leave_after_s", [(50, 250, 2.0), (2, 16, 3.0)], ids=["50hz", "2hz"]
+)
+def test_leaving_receiver_strands_no_event(tmp_path, rate, count, leave_after_s):
     # A receiver that leaves mid-stream keeps ingesting until the balancer
     # stops routing to it, so across both receivers every event arrives
-    # exactly once.
+    # exactly once.  At 2 events/s each receiver's ports sit idle for about
+    # a second between events, so the drain cannot end on quiet ports.
+    _leave_mid_stream(tmp_path, rate, count, leave_after_s)
+
+
+def test_routing_ended_reads_the_balancer_state():
+    def state(slots, boundary=100, forwarded=99, member=True):
+        members = {"7": {"slots": slots}} if member else {}
+        epochs = [{"epoch_id": 1, "boundary_tick": 50}, {"epoch_id": 2, "boundary_tick": boundary}]
+        return {"members": members, "epochs": epochs, "counters": {"max_forwarded_tick": forwarded}}
+
+    assert not cli._routing_ended(state(slots=3, forwarded=500), 7)  # still in the newest epoch
+    assert not cli._routing_ended(state(slots=0, forwarded=99), 7)  # old epochs still route
+    assert not cli._routing_ended(state(slots=0, forwarded=None), 7)  # nothing forwarded yet
+    assert cli._routing_ended(state(slots=0, forwarded=100), 7)  # the boundary has passed
+    assert cli._routing_ended(state(slots=0, member=False), 7)  # retired
+    assert cli._routing_ended({"members": {"7": {"slots": 0}}, "epochs": [], "counters": {}}, 7)
+
+
+def _leave_mid_stream(tmp_path, rate, count, leave_after_s):
     config = _write_json(
         tmp_path / "lb.json",
         {
@@ -432,18 +454,17 @@ def test_leaving_receiver_strands_no_event(tmp_path):
             pytest.fail("receivers never shared an epoch")
         client.close()
 
-        count = 250
         send = subprocess.Popen(
             _streamlb(
                 "send", "--lb", data, "--control", sync,
-                "--rate", "50", "--synth", f"{count},2,200", "--seed", "11",
+                "--rate", str(rate), "--synth", f"{count},2,200", "--seed", "11",
             ),
             env=_CHILD_ENV,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
         )
-        time.sleep(2.0)
+        time.sleep(leave_after_s)
         leaver, stayer = receivers
         leaver.send_signal(signal.SIGTERM)
         left_out, left_err = leaver.communicate(timeout=20)
