@@ -8,7 +8,13 @@ class names, so a client can re-raise the exact failure the server
 hit; anything malformed maps to "BadRequest".
 
 One connection serves any number of requests in series.  Verbs:
-reserve, free, register, deregister, report, query.
+reserve, free, register, deregister, report, query.  A register or
+deregister publishes the new membership before it answers, unless an
+epoch is still ahead of the traffic.
+
+A connection that sends nothing for READ_TIMEOUT_S is closed, and at
+most MAX_CONNECTIONS are served at once; later ones are closed on
+accept.
 """
 
 from __future__ import annotations
@@ -31,11 +37,21 @@ from .controlplane import (
     UnknownSession,
 )
 
-__all__ = ["FRAME_MAX", "ControlProtocolError", "FrameError", "ControlServer", "ControlClient"]
+__all__ = [
+    "FRAME_MAX",
+    "READ_TIMEOUT_S",
+    "MAX_CONNECTIONS",
+    "ControlProtocolError",
+    "FrameError",
+    "ControlServer",
+    "ControlClient",
+]
 
 log = logging.getLogger(__name__)
 
 FRAME_MAX = 1 << 20
+READ_TIMEOUT_S = 30.0  # idle or half-sent frames; receivers report every second
+MAX_CONNECTIONS = 64
 _LEN = struct.Struct(">I")
 
 # exceptions worth naming across the wire; everything else is BadRequest
@@ -63,7 +79,17 @@ def _write_frame(stream, obj: dict):
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    def setup(self):
+        self.request.settimeout(READ_TIMEOUT_S)
+        super().setup()
+
     def handle(self):
+        try:
+            self._serve()
+        except TimeoutError:
+            log.info("control client %s:%d idle for %.0f s; closing", *self.client_address, READ_TIMEOUT_S)
+
+    def _serve(self):
         while True:
             head = self.rfile.read(4)
             if len(head) < 4:
@@ -84,11 +110,14 @@ class _Handler(socketserver.StreamRequestHandler):
 class ControlServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
+    request_queue_size = MAX_CONNECTIONS  # a burst of connects is refused, not left to SYN retries
 
     def __init__(self, cp: ControlPlane, address=("127.0.0.1", 0)):
         super().__init__(tuple(address), _Handler)
         self.cp = cp
         self._thread: threading.Thread | None = None
+        self._connections = 0
+        self._connections_lock = threading.Lock()
 
     @property
     def address(self) -> tuple:
@@ -104,6 +133,21 @@ class ControlServer(socketserver.ThreadingTCPServer):
         self.server_close()
         if self._thread is not None:
             self._thread.join(timeout=2.0)
+
+    def verify_request(self, request, client_address) -> bool:
+        with self._connections_lock:
+            if self._connections >= MAX_CONNECTIONS:
+                log.warning("refusing control client %s:%d: %d connections open", *client_address, self._connections)
+                return False  # the server closes it
+            self._connections += 1
+            return True
+
+    def process_request_thread(self, request, client_address):
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            with self._connections_lock:
+                self._connections -= 1
 
     # --- request handling -----------------------------------------------------
 
@@ -144,9 +188,12 @@ class ControlServer(socketserver.ThreadingTCPServer):
                 int(request["port_count"]),
                 initial_weight=float(request.get("weight", 1.0)),
             )
+            self._reschedule(int(request["instance_id"]))
             return {"session_id": session_id}
         if verb == "deregister":
-            self.cp.deregister_member(int(request["session_id"]))
+            session_id = int(request["session_id"])
+            self.cp.deregister_member(session_id)
+            self._reschedule(self.cp.session_instance[session_id])
             return {}
         if verb == "report":
             self.cp.ingest_fill_report(
@@ -164,6 +211,12 @@ class ControlServer(socketserver.ThreadingTCPServer):
             out = self.cp.query(None if iid is None else int(iid))
             return {"instances": {str(k): v for k, v in out.items()}}
         raise ValueError(f"unknown verb {verb!r}")
+
+    def _reschedule(self, instance_id: int):
+        try:
+            self.cp.reschedule(instance_id)
+        except OSError as exc:  # the change stands; the next control pass writes the snapshot
+            log.error("snapshot after a membership change failed: %s", exc)
 
 
 class ControlClient:

@@ -4,7 +4,9 @@ Runs a 1 Hz loop per balancer instance.  Each pass folds receiver queue
 feedback into member weights, apportions the 512 slots by largest
 remainder, predicts the tick that will be current one guard interval
 ahead, and publishes the new table at that boundary so events already
-in flight keep routing through the epochs that admitted them.
+in flight keep routing through the epochs that admitted them.  A join or
+a leave publishes its table at once, without a feedback round, unless an
+epoch is still ahead of the traffic; then the next pass publishes it.
 
 State survives restarts through checksummed snapshots written with a
 temp-file-and-rename so a crash never leaves a torn file.
@@ -396,7 +398,7 @@ class ControlPlane:
                 raise NoReadyMembers(f"instance {instance_id}")
             return round_weights
 
-    # --- the 1 Hz pass ----------------------------------------------------------
+    # --- the 1 Hz pass and membership passes ----------------------------------
 
     def control_tick(self, instance_id: int | None = None, now_ns: int | None = None) -> list:
         """Reweight, apportion, schedule, retire; returns emitted epochs."""
@@ -410,29 +412,62 @@ class ControlPlane:
                     continue
                 try:
                     round_weights = self.update_weights(iid, now)
-                    positive = {s: w for s, w in round_weights.items() if w > 0}
-                    table = apportion_slots(positive, inst.slot_count)
                 except NoReadyMembers:
-                    log.warning("instance %d: no ready members, scheduling empty table", iid)
-                    table = (None,) * inst.slot_count
-                if inst.epochs and table == inst.epochs[-1].table:
-                    inst.retire_expired(now)
-                    continue  # nothing changed; no epoch churn
-                with inst._lock:  # no tick forwards between the choice and the publish
-                    boundary = self._choose_boundary(iid, inst, now)
-                    max_fwd_before = inst.max_forwarded_tick
-                    epoch = inst.apply_schedule(boundary, table)
-                emitted.append((iid, epoch))
-                if self.epoch_listener is not None:
-                    self.epoch_listener(iid, epoch, max_fwd_before)
-                log.info(
-                    "instance %d epoch %d boundary %d (%d members)",
-                    iid, epoch.epoch_id, boundary, len(set(table) - {None}),
-                )
+                    round_weights = {}
+                epoch = self._publish(iid, inst, round_weights, now)
+                if epoch is not None:
+                    emitted.append((iid, epoch))
                 inst.retire_expired(now)
             if self.snapshot_path is not None:
                 self.persist_state()
         return emitted
+
+    def reschedule(self, instance_id: int, now_ns: int | None = None) -> Epoch | None:
+        """Publish a membership change now; returns the epoch, or None.
+
+        Slots go to the ready active members at their current weights; no
+        feedback round runs.  Nothing is published while an epoch is still
+        ahead of the traffic, because a burst of joins would otherwise push
+        the epoch that in-flight ticks route through out of the retain
+        window.  The next control pass then picks the change up.
+        """
+        now = self.clock() if now_ns is None else now_ns
+        with self._lock:
+            inst = self._instance(instance_id)
+            weights = {
+                sid: m.weight
+                for sid, m in inst.members.items()
+                if m.state is MemberState.ACTIVE and self._is_ready(m, now)
+            }
+            with inst._lock:  # the check and the publish see the same traffic
+                fwd = inst.max_forwarded_tick
+                caught_up = fwd is None or not inst.epochs or fwd >= inst.epochs[-1].boundary_tick
+                epoch = self._publish(instance_id, inst, weights, now) if caught_up else None
+            if self.snapshot_path is not None:
+                self.persist_state()
+        return epoch
+
+    def _publish(self, iid: int, inst: LbInstance, weights: dict, now: int) -> Epoch | None:
+        """Apportion the positive weights and publish unless the table is unchanged."""
+        positive = {s: w for s, w in weights.items() if w > 0}
+        if positive:
+            table = apportion_slots(positive, inst.slot_count)
+        else:
+            log.warning("instance %d: no ready members, scheduling empty table", iid)
+            table = (None,) * inst.slot_count
+        if inst.epochs and table == inst.epochs[-1].table:
+            return None  # nothing changed; no epoch churn
+        with inst._lock:  # no tick forwards between the choice and the publish
+            boundary = self._choose_boundary(iid, inst, now)
+            max_fwd_before = inst.max_forwarded_tick
+            epoch = inst.apply_schedule(boundary, table)
+        if self.epoch_listener is not None:
+            self.epoch_listener(iid, epoch, max_fwd_before)
+        log.info(
+            "instance %d epoch %d boundary %d (%d members)",
+            iid, epoch.epoch_id, boundary, len(set(table) - {None}),
+        )
+        return epoch
 
     def _choose_boundary(self, iid: int, inst: LbInstance, now: int) -> int:
         try:
@@ -454,20 +489,21 @@ class ControlPlane:
         path = path or self.snapshot_path
         if path is None:
             raise ValueError("no snapshot path configured")
-        with self._lock:
+        with self._lock:  # callers on several threads share one temp file
             payload = json.dumps(self._dump(), sort_keys=True, separators=(",", ":")).encode()
-        blob = SNAPSHOT_MAGIC + hashlib.sha256(payload).digest() + payload
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "wb") as fh:
-            fh.write(blob)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+            blob = SNAPSHOT_MAGIC + hashlib.sha256(payload).digest() + payload
+            tmp = f"{path}.tmp.{os.getpid()}"
+            with open(tmp, "wb") as fh:
+                fh.write(blob)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
         return str(path)
 
     def _dump(self) -> dict:
         instances = {}
         for iid, inst in sorted(self.instances.items()):
+            counters = inst.counters()  # one consistent read under the instance lock
             instances[str(iid)] = {
                 "listen": list(inst.listen),
                 "slot_count": inst.slot_count,
@@ -492,11 +528,11 @@ class ControlPlane:
                     for e in inst.epochs
                 ],
                 "counters": {
-                    "received": inst.received_total,
-                    "forwarded": inst.forwarded_total,
-                    "forwarded_by_member": {str(k): v for k, v in sorted(inst.forwarded_by_member.items())},
-                    "dropped_by_reason": {r.value: n for r, n in sorted(inst.dropped_by_reason.items(), key=lambda kv: kv[0].value)},
-                    "max_forwarded_tick": inst.max_forwarded_tick,
+                    "received": counters["received"],
+                    "forwarded": counters["forwarded"],
+                    "forwarded_by_member": {str(k): v for k, v in counters["forwarded_by_member"].items()},
+                    "dropped_by_reason": counters["dropped_by_reason"],
+                    "max_forwarded_tick": counters["max_forwarded_tick"],
                 },
                 "predictor": {
                     "samples": [list(s) for s in self.predictors[iid].samples],

@@ -2,8 +2,10 @@
 
 One scrape renders the whole deployment: per-member gauges (fill, weight,
 slot share), the tick predictor output, and the forwarding counters of every
-instance.  The HTTP side is a thin stdlib server; anything heavier would be
-overkill for a single read-only endpoint.
+instance.  The newest epoch boundary beside the highest tick forwarded shows
+an epoch still ahead of the traffic, which is what holds a join or a leave
+back until the next control pass.  The HTTP side is a thin stdlib server;
+anything heavier would be overkill for a single read-only endpoint.
 """
 
 from __future__ import annotations
@@ -59,7 +61,13 @@ def render_metrics(cp) -> str:
     weight = _Metric("lb_member_weight", "gauge", "Control weight per member.")
     slots = _Metric("lb_member_slots", "gauge", "Slots held in the newest epoch per member.")
     predicted = _Metric("lb_predicted_tick", "gauge", "Predicted tick at the next boundary horizon.")
+    received = _Metric("lb_received_total", "counter", "Datagrams received since start.")
     forwarded = _Metric("lb_forwarded_total", "counter", "Datagrams forwarded since start.")
+    member_forwarded = _Metric(
+        "lb_member_forwarded_total", "counter", "Datagrams forwarded per member since start."
+    )
+    max_forwarded = _Metric("lb_max_forwarded_tick", "gauge", "Highest tick forwarded.")
+    newest_boundary = _Metric("lb_newest_boundary_tick", "gauge", "Boundary tick of the newest epoch.")
     dropped = _Metric("lb_dropped_total", "counter", "Datagrams dropped, by reason.")
     epochs = _Metric("lb_epochs_total", "counter", "Epochs emitted since start.")
 
@@ -76,7 +84,14 @@ def render_metrics(cp) -> str:
         if state["predicted_tick"] is not None:
             predicted.add(inst_label, state["predicted_tick"])
         counters = state["counters"]
+        received.add(inst_label, counters["received"])
         forwarded.add(inst_label, counters["forwarded"])
+        for sid in sorted(counters["forwarded_by_member"]):
+            member_forwarded.add({"instance": iid, "session": sid}, counters["forwarded_by_member"][sid])
+        if counters["max_forwarded_tick"] is not None:
+            max_forwarded.add(inst_label, counters["max_forwarded_tick"])
+        if state["epochs"]:
+            newest_boundary.add(inst_label, state["epochs"][-1]["boundary_tick"])
         by_reason = counters["dropped_by_reason"]
         for reason in DropReason:
             dropped.add(
@@ -86,7 +101,10 @@ def render_metrics(cp) -> str:
         epochs.add(inst_label, state["epochs_emitted"])
 
     lines: list[str] = []
-    for metric in (fill, weight, slots, predicted, forwarded, dropped, epochs):
+    for metric in (
+        fill, weight, slots, predicted, received, forwarded, member_forwarded,
+        dropped, epochs, max_forwarded, newest_boundary,
+    ):
         lines.extend(metric.render())
     return "\n".join(lines) + "\n"
 

@@ -1,13 +1,18 @@
 """Control protocol server and client over a real TCP socket."""
 
 import json
+import select
 import socket
 import struct
+import sys
 import threading
+import time
 
 import pytest
 
-from streamlb.control import FRAME_MAX, ControlClient, ControlProtocolError, ControlServer
+from streamlb import control, wire
+from streamlb import controlplane as cp_mod
+from streamlb.control import FRAME_MAX, ControlClient, ControlProtocolError, ControlServer, FrameError
 from streamlb.controlplane import (
     MAX_INSTANCES,
     AlreadyDraining,
@@ -18,6 +23,7 @@ from streamlb.controlplane import (
     UnknownInstance,
     UnknownSession,
 )
+from streamlb.dataplane import SLOT_COUNT, ForwardAction
 
 
 @pytest.fixture
@@ -130,3 +136,144 @@ def test_concurrent_clients_register_distinct_sessions(fabric):
     assert not errors
     assert len(set(sids)) == 8
     assert len(cp.instances[iid].members) == 8
+
+
+# --- membership takes effect before the response ------------------------------
+
+
+def test_register_holds_slots_before_it_returns(fabric):
+    cp, client = fabric
+    iid = client.reserve()
+    sid = client.register(iid, "10.1.1.1", 7000, 2)
+    state = client.query(iid)[str(iid)]  # no control pass in between
+    assert state["members"][str(sid)]["slots"] == SLOT_COUNT
+    assert len(state["epochs"]) == 1
+    assert cp.instances[iid].epochs[-1].table == (sid,) * SLOT_COUNT
+
+
+def test_deregister_publishes_a_table_without_the_leaver(fabric):
+    cp, client = fabric
+    iid = client.reserve()
+    a = client.register(iid, "10.1.1.1", 7000, 1)
+    b = client.register(iid, "10.1.1.2", 7000, 1)
+    assert set(cp.instances[iid].epochs[-1].table) == {a, b}
+    client.deregister(a)
+    state = client.query(iid)[str(iid)]
+    assert state["members"][str(a)]["state"] == "draining"
+    assert state["members"][str(a)]["slots"] == 0
+    assert state["members"][str(b)]["slots"] == SLOT_COUNT
+    assert len(state["epochs"]) == 3
+
+
+def test_membership_storm_never_splits_a_tick_nor_runs_two_epochs_ahead(monkeypatch, caplog):
+    # One thread forwards 3-fragment events and feeds the tick predictor,
+    # so each boundary lands a short guard interval ahead of the traffic,
+    # while two clients register and deregister members over the wire.
+    caplog.set_level("ERROR", logger=cp_mod.__name__)
+    monkeypatch.setattr(cp_mod, "GUARD_S", 0.005)
+    cp = ControlPlane()
+    iid = cp.reserve_instance()
+    inst = cp.instances[iid]
+    cp.register_member(iid, "10.8.0.1", 9000, 1)  # stays a member throughout
+    cp.control_tick()
+    ahead = []  # epochs past the forwarded traffic right after each publish
+    cp.epoch_listener = lambda i, e, fwd: ahead.append(sum(x.boundary_tick > fwd for x in inst.epochs))
+    dests = {}  # tick -> session ids its fragments reached
+    stop = threading.Event()
+
+    def forward():
+        tick = 0
+        while not stop.is_set():
+            dg = wire.encode_lb_header(wire.LbMetaHeader(channel=0, tick=tick)) + bytes(20)
+            for _ in range(3):
+                action = inst.forward_packet(dg)
+                if isinstance(action, ForwardAction):
+                    dests.setdefault(tick, set()).add(action.session_id)
+            if tick % 32 == 0:
+                cp.ingest_sync(iid, wire.SyncMessage(1, tick, 0, time.time_ns()))
+            tick += 1
+
+    errors = []
+
+    def churn(n):
+        try:
+            with ControlClient(server.address) as c:
+                for k in range(12):
+                    sid = c.register(iid, f"10.8.{n}.{k + 2}", 9000, 1)
+                    time.sleep(0.002)  # a call is far quicker than the guard; let traffic pass
+                    c.deregister(sid)
+                    time.sleep(0.002)
+        except Exception as exc:  # surface, don't swallow
+            errors.append(exc)
+
+    server = ControlServer(cp)
+    server.start()
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    forwarder = threading.Thread(target=forward, daemon=True)
+    clients = [threading.Thread(target=churn, args=(n,), daemon=True) for n in (1, 2)]
+    try:
+        forwarder.start()
+        while inst.max_forwarded_tick is None:
+            time.sleep(0.001)
+        for t in clients:
+            t.start()
+        for t in clients:
+            t.join(timeout=60.0)
+    finally:
+        stop.set()
+        forwarder.join(timeout=5.0)
+        sys.setswitchinterval(old_interval)
+        server.stop()
+    assert not forwarder.is_alive() and not any(t.is_alive() for t in clients)
+    assert not errors
+    assert len(ahead) >= 2, "the storm published no membership epoch"
+    assert max(ahead) == 1, f"publishes left {max(ahead)} epochs ahead of the traffic"
+    split = sorted(t for t, sids in dests.items() if len(sids) > 1)
+    assert not split, f"{len(split)} ticks reached two members, first {split[:5]}"
+
+
+# --- server bounds ---------------------------------------------------------------
+
+
+def test_half_sent_frame_is_closed_after_the_read_timeout(fabric, monkeypatch):
+    monkeypatch.setattr(control, "READ_TIMEOUT_S", 0.3)
+    _, client = fabric
+    addr = client.sock.getpeername()
+    with socket.create_connection(addr, timeout=5.0) as raw:
+        raw.sendall(struct.pack(">I", 9) + b"{")  # length and 1 of 9 octets
+        t0 = time.monotonic()
+        assert raw.recv(1) == b""  # server hung up
+        assert time.monotonic() - t0 < 4.0
+    with ControlClient(addr) as fresh:
+        assert isinstance(fresh.reserve(), int)
+
+
+def test_connections_past_the_cap_are_closed_at_accept(fabric, monkeypatch):
+    monkeypatch.setattr(control, "MAX_CONNECTIONS", 8)
+    _, client = fabric  # holds one of the 8
+    addr = client.sock.getpeername()
+    flood = [socket.create_connection(addr, timeout=5.0) for _ in range(20)]
+    try:
+        closed = set()
+        deadline = time.monotonic() + 5.0
+        while len(closed) < 13 and time.monotonic() < deadline:
+            readable, _, _ = select.select([s for s in flood if s not in closed], [], [], 0.1)
+            for sock in readable:
+                assert sock.recv(1) == b""
+                closed.add(sock)
+        readable, _, _ = select.select([s for s in flood if s not in closed], [], [], 0.3)
+        assert len(closed) == 13 and not readable  # 7 held open beside the client
+        assert isinstance(client.reserve(), int)  # the existing client still works
+    finally:
+        for sock in flood:
+            sock.close()
+    deadline = time.monotonic() + 5.0
+    while True:  # the held slots free up once their peers hang up
+        try:
+            with ControlClient(addr) as fresh:
+                assert isinstance(fresh.reserve(), int)
+            break
+        except (FrameError, ConnectionError):
+            assert time.monotonic() < deadline
+            time.sleep(0.05)

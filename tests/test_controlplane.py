@@ -544,6 +544,92 @@ def test_epoch_listener_invoked():
     assert seen == [(iid, 1, None)]
 
 
+def forward_tick(inst, tick):
+    from streamlb import wire
+
+    return inst.forward_packet(wire.encode_lb_header(wire.LbMetaHeader(channel=0, tick=tick)) + bytes(20))
+
+
+def test_reschedule_publishes_a_join_at_current_weights():
+    cp, _ = make_cp()
+    iid = cp.reserve_instance()
+    a = full_member(cp, iid, 1, weight=3.0)
+    cp.ingest_fill_report(FillReport(a, 0.9, 1.0, True))  # a feedback round would move the weight
+    epoch = cp.reschedule(iid)
+    assert epoch.table == (a,) * SLOT_COUNT
+    assert cp.instances[iid].members[a].weight == 3.0
+    b = full_member(cp, iid, 2)
+    epoch = cp.reschedule(iid)
+    assert table_counts(epoch.table) == {a: 384, b: 128}
+    assert cp.instances[iid].epochs[-1] is epoch
+    assert cp.reschedule(iid) is None  # same table: no epoch churn
+    assert len(cp.instances[iid].epochs) == 2
+
+
+def test_reschedule_skips_members_not_ready():
+    cp, clock = make_cp()
+    iid = cp.reserve_instance()
+    a = full_member(cp, iid, 1)
+    b = full_member(cp, iid, 2)
+    cp.ingest_fill_report(FillReport(b, 0.5, 0.0, False))
+    assert cp.reschedule(iid).table == (a,) * SLOT_COUNT
+    cp.deregister_member(a)
+    assert set(cp.reschedule(iid).table) == {None}  # no ready member: empty table
+
+
+def test_reschedule_waits_while_an_epoch_is_ahead_of_the_traffic():
+    cp, clock = make_cp()
+    iid = cp.reserve_instance()
+    inst = cp.instances[iid]
+    a = full_member(cp, iid, 1)
+    cp.ingest_sync(iid, sync(1, 1000, 1000, clock.now))
+    cp.control_tick()
+    boundary = inst.epochs[-1].boundary_tick
+    assert boundary >= 1000
+    forward_tick(inst, 500)
+    b = full_member(cp, iid, 2)
+    assert cp.reschedule(iid) is None  # max_forwarded_tick 500 < boundary
+    assert len(inst.epochs) == 1 and set(inst.epochs[-1].table) == {a}
+    forward_tick(inst, boundary - 1)
+    assert cp.reschedule(iid) is None
+    forward_tick(inst, boundary)
+    epoch = cp.reschedule(iid)
+    assert epoch is not None and set(epoch.table) == {a, b}
+    assert epoch.boundary_tick > boundary
+    # the new epoch is now ahead, so the next change waits again
+    cp.deregister_member(b)
+    assert cp.reschedule(iid) is None
+    clock.advance(1.0)
+    assert cp.control_tick()  # the periodic pass still publishes it
+    assert set(inst.epochs[-1].table) == {a}
+
+
+def test_reschedule_tells_the_listener_what_was_forwarded():
+    cp, _ = make_cp()
+    iid = cp.reserve_instance()
+    seen = []
+    cp.epoch_listener = lambda i, e, fwd: seen.append((i, e.epoch_id, e.boundary_tick, fwd))
+    full_member(cp, iid, 1)
+    cp.reschedule(iid)
+    forward_tick(cp.instances[iid], 40)
+    full_member(cp, iid, 2)
+    cp.reschedule(iid)
+    assert seen == [(iid, 1, 0, None), (iid, 2, 41, 40)]
+
+
+def test_reschedule_persists_the_membership_epoch(tmp_path):
+    path = str(tmp_path / "state.bin")
+    cp = ControlPlane(clock=FakeClock(10 * S), snapshot_path=path)
+    iid = cp.reserve_instance()
+    sid = full_member(cp, iid, 1)
+    epoch = cp.reschedule(iid)
+    state = load_snapshot(path)["instances"][str(iid)]
+    assert [m["session_id"] for m in state["members"]] == [sid]
+    assert state["epochs"] == [
+        {"epoch_id": epoch.epoch_id, "boundary_tick": epoch.boundary_tick, "table": [sid] * SLOT_COUNT}
+    ]
+
+
 def test_draining_member_keeps_receiving_old_epoch_traffic():
     from streamlb import wire
     from streamlb.dataplane import ForwardAction
@@ -699,6 +785,43 @@ def test_snapshot_deterministic_for_identical_logs(tmp_path):
     p2 = build(str(tmp_path / "two.bin"))
     with open(p1, "rb") as one, open(p2, "rb") as two:
         assert one.read() == two.read()
+
+
+def test_snapshot_counters_are_one_consistent_read():
+    # A forwarding thread updates the counters while snapshots are taken;
+    # each snapshot must see received == forwarded + dropped.
+    cp, _ = make_cp()
+    iid = cp.reserve_instance()
+    full_member(cp, iid, 1)
+    cp.control_tick()
+    inst = cp.instances[iid]
+    stop = threading.Event()
+
+    def forward():
+        tick = 0
+        while not stop.is_set():
+            forward_tick(inst, tick)
+            inst.forward_packet(b"junk")  # truncated: a drop
+            tick += 1
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    forwarder = threading.Thread(target=forward, daemon=True)
+    torn = 0
+    try:
+        forwarder.start()
+        for _ in range(3_000):
+            c = cp._dump()["instances"][str(iid)]["counters"]
+            dropped = sum(c["dropped_by_reason"].values())
+            if c["received"] != c["forwarded"] + dropped or sum(c["forwarded_by_member"].values()) != c["forwarded"]:
+                torn += 1
+    finally:
+        stop.set()
+        forwarder.join(timeout=5.0)
+        sys.setswitchinterval(old_interval)
+    assert not forwarder.is_alive()
+    assert inst.received_total > 0
+    assert torn == 0, f"{torn} of 3000 snapshots read torn counters"
 
 
 def test_query_shape():

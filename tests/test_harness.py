@@ -1,6 +1,8 @@
 """Impairment model and virtual-clock scenario runner."""
 
+import hashlib
 import heapq
+import json
 
 import pytest
 
@@ -496,6 +498,35 @@ def every_action():
                         "start_tick": 100000, "channels": both}},
         ],
     }
+
+
+def test_sim_churn_report_is_pinned():
+    # The benchmark's sim-churn scenario cut to 12 virtual seconds.  The
+    # digest pins the whole virtual-clock report; a change that moves the
+    # simulation's output must update it and say why.
+    spec = {
+        "name": "sim-churn",
+        "seed": 3,
+        "duration_s": 12.0,
+        "members": [
+            {"name": "m1", "service_rate_hz": 900, "queue_capacity": 512},
+            {"name": "m2", "service_rate_hz": 600, "queue_capacity": 512},
+            {"name": "m3", "service_rate_hz": 600, "queue_capacity": 512},
+        ],
+        "senders": [{"source_id": 1, "rate_hz": 1500, "count": 15_000, "size": 4200, "start_s": 1.0}],
+        "impair_in": {"reorder_depth": 8, "duplicate_prob": 0.01},
+        "timeline": [
+            {"at_s": 3.0, "action": "register",
+             "member": {"name": "m4", "service_rate_hz": 600, "queue_capacity": 512}},
+            {"at_s": 6.0, "action": "deregister", "name": "m2"},
+            {"at_s": 8.5, "action": "restart_cp"},
+        ],
+        "assertions": {"no_splits": True, "exactly_once": True, "boundary_safety": True},
+    }
+    report = run_scenario(Scenario.from_dict(spec)).to_dict()
+    assert report["fates"] == {"delivered": 15_000}
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == "76d68dcaab4d5e8cabf4e34d663c352e45af77ba9dfa6bddebc59f343e67e00a"
 
 
 def test_scheduler_matches_heap_only_reference_on_churn():

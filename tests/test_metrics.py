@@ -64,6 +64,36 @@ def test_render_counters_and_prediction(cp_with_traffic):
     assert values[f'lb_predicted_tick{{instance="{iid}"}}'] >= 100.0
 
 
+def test_render_forwarding_progress(cp_with_traffic):
+    cp, iid, s1, s2 = cp_with_traffic
+    values = _scrape(metrics.render_metrics(cp))
+    epoch = cp.instances[iid].epochs[-1]
+    owner = epoch.table[500 % 512]
+    other = s2 if owner == s1 else s1
+    assert values[f'lb_received_total{{instance="{iid}"}}'] == 2.0
+    assert values[f'lb_member_forwarded_total{{instance="{iid}",session="{owner}"}}'] == 1.0
+    # a member nothing was forwarded to has no sample yet
+    assert f'lb_member_forwarded_total{{instance="{iid}",session="{other}"}}' not in values
+    assert values[f'lb_max_forwarded_tick{{instance="{iid}"}}'] == 500.0
+    assert values[f'lb_newest_boundary_tick{{instance="{iid}"}}'] == epoch.boundary_tick
+
+
+def test_render_shows_an_epoch_ahead_of_the_traffic(cp_with_traffic):
+    # A join waits for the next control pass while the newest boundary is
+    # above the highest forwarded tick; the two gauges show that.
+    cp, iid, *_ = cp_with_traffic
+    cp.ingest_sync(iid, wire.SyncMessage(source_id=1, latest_tick=900,
+                                         event_rate_hz=1000, wallclock_ns=0))
+    cp.register_member(iid, "10.0.0.3", 7000, 2)
+    assert cp.control_tick(now_ns=0)
+    cp.register_member(iid, "10.0.0.4", 7000, 2)
+    assert cp.reschedule(iid) is None  # the join waits
+    values = _scrape(metrics.render_metrics(cp))
+    newest = values[f'lb_newest_boundary_tick{{instance="{iid}"}}']
+    assert newest == cp.instances[iid].epochs[-1].boundary_tick
+    assert newest > values[f'lb_max_forwarded_tick{{instance="{iid}"}}'] == 500.0
+
+
 def test_render_empty_control_plane():
     cp = ControlPlane(clock=lambda: 0)
     text = metrics.render_metrics(cp)
