@@ -19,13 +19,12 @@ import json
 import logging
 import os
 import signal
-import socket
 import sys
 import threading
 import time
 
-from . import control, controlplane, metrics, netutil, receiver, sender, wire
-from .dataplane import UdpDataPlane
+from . import control, controlplane, netutil, receiver, sender
+from .balancer import Balancer
 from .harness import Scenario, ScenarioError, ScenarioTimeout, evaluate_assertions, run_scenario
 from .harness.realtime import run_realtime
 
@@ -47,24 +46,6 @@ def _install_stop_handlers(stop: threading.Event):
 
 
 # --- lb-run ----------------------------------------------------------------
-
-
-def _sync_listener(sock: socket.socket, cp, instance_id: int, stop: threading.Event):
-    """Feed sync datagrams into the control plane until told to stop."""
-    for datagram in netutil.recv_datagrams(sock, stop, bufsize=4096):
-        if datagram is None:
-            continue
-        try:
-            msg = wire.decode_sync(datagram)
-        except wire.WireError as exc:
-            log.debug("instance %d: discarding sync datagram (%s)", instance_id, exc)
-            continue
-        try:
-            cp.ingest_sync(instance_id, msg)
-        except controlplane.NonMonotonicTick as exc:
-            log.warning("instance %d: sync rejected (%s)", instance_id, exc)
-        except controlplane.UnknownInstance:
-            break
 
 
 def main_run(argv=None) -> int:
@@ -98,86 +79,21 @@ def main_run(argv=None) -> int:
         cp = controlplane.ControlPlane.restore_state(args.snapshot)
     else:
         cp = controlplane.ControlPlane()
-
-    stop = threading.Event()
-    dataplanes, sync_socks, threads = [], [], []
-    ctl = met = None
     try:
-        endpoints = {}
-        for spec in config["instances"]:
-            iid = spec["instance_id"]
-            listen = netutil.parse_address(spec["listen"])
-            if iid in cp.instances:
-                cp.instances[iid].listen = listen  # snapshot ports may be stale
-            else:
-                extra = {
-                    k: spec[k] for k in ("slot_count", "drain_delay_s") if k in spec
-                }
-                cp.reserve_instance(listen=listen, instance_id=iid, **extra)
-            dp = UdpDataPlane(cp.instances[iid])
-            dataplanes.append(dp)
-
-            sync_sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-            sync_sock.bind(netutil.parse_address(spec["sync_listen"]))
-            sync_socks.append(sync_sock)
-            t = threading.Thread(
-                target=_sync_listener,
-                args=(sync_sock, cp, iid, stop),
-                name=f"sync-{iid}",
-                daemon=True,
-            )
-            threads.append(t)
-            endpoints[str(iid)] = {
-                "data": list(dp.address),
-                "sync": list(sync_sock.getsockname()),
-            }
-
-        ctl = control.ControlServer(cp, netutil.parse_address(config["control"]))
-        met = metrics.MetricsServer(cp, netutil.parse_address(config["metrics"]))
+        lb = Balancer(cp, config)
     except OSError as exc:
         print(f"lb-run: startup failed: {exc}", file=sys.stderr)
-        for dp in dataplanes:
-            dp.stop()
-        for s in sync_socks:
-            s.close()
         return 1
 
-    _install_stop_handlers(stop)
-    ctl.start()
-    met.start()
-    for dp in dataplanes:
-        dp.start()
-    for t in threads:
-        t.start()
-
+    _install_stop_handlers(lb.stopping)
+    lb.start()
     # One ready line on stdout so wrappers can learn the bound ports.
-    print(
-        json.dumps(
-            {
-                "control": list(ctl.address),
-                "metrics": list(met.address),
-                "instances": endpoints,
-            }
-        ),
-        flush=True,
-    )
-    log.info("control %s metrics %s", ctl.address, met.address)
+    print(json.dumps(lb.endpoints()), flush=True)
+    log.info("control %s metrics %s", lb.control.address, lb.metrics.address)
 
-    while not stop.wait(1.0):
-        try:
-            cp.control_tick()
-        except Exception:
-            log.exception("control tick failed")
-
+    lb.run()
     log.info("shutting down")
-    for dp in dataplanes:
-        dp.stop()
-    for s in sync_socks:
-        s.close()
-    for t in threads:
-        t.join(timeout=2.0)
-    ctl.stop()
-    met.stop()
+    lb.close()
     if args.snapshot:
         try:
             cp.persist_state()

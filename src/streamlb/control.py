@@ -27,6 +27,7 @@ import struct
 import threading
 
 from . import controlplane as cpmod
+from . import netutil
 from .controlplane import (
     AlreadyDraining,
     CapacityExhausted,
@@ -107,32 +108,15 @@ class _Handler(socketserver.StreamRequestHandler):
             _write_frame(self.wfile, self.server.dispatch(body))
 
 
-class ControlServer(socketserver.ThreadingTCPServer):
+class ControlServer(netutil.ServedOnThread, socketserver.ThreadingTCPServer):
     allow_reuse_address = True
-    daemon_threads = True
     request_queue_size = MAX_CONNECTIONS  # a burst of connects is refused, not left to SYN retries
 
     def __init__(self, cp: ControlPlane, address=("127.0.0.1", 0)):
         super().__init__(tuple(address), _Handler)
         self.cp = cp
-        self._thread: threading.Thread | None = None
         self._connections = 0
         self._connections_lock = threading.Lock()
-
-    @property
-    def address(self) -> tuple:
-        return self.server_address
-
-    def start(self):
-        self._thread = threading.Thread(target=self.serve_forever, name="lb-control", daemon=True)
-        self._thread.start()
-        log.info("control protocol listening on %s:%d", *self.server_address)
-
-    def stop(self):
-        self.shutdown()
-        self.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
 
     def verify_request(self, request, client_address) -> bool:
         with self._connections_lock:

@@ -271,14 +271,18 @@ class LbInstance:
 class UdpDataPlane:
     """Socket front end for one instance: recv, route, send."""
 
-    def __init__(self, instance: LbInstance, rcvbuf: int = 8 << 20):
+    def __init__(self, instance: LbInstance):
         self.instance = instance
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        netutil.request_buffer(self.sock, "recv", rcvbuf)
-        self.sock.bind(instance.listen)
+        try:
+            netutil.request_buffer(self.sock, "recv", netutil.SOCKET_BUFFER)
+            self.sock.bind(instance.listen)
+        except BaseException:
+            self.sock.close()
+            raise
         self.instance.listen = self.sock.getsockname()
         self._out = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        netutil.request_buffer(self._out, "send", rcvbuf)
+        netutil.request_buffer(self._out, "send", netutil.SOCKET_BUFFER)
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 

@@ -1,28 +1,36 @@
 """Loopback fabric over real sockets: throughput, not simulation.
 
-Wires a real UDP data plane, one receiver per member, and a paced
-sender on 127.0.0.1, then measures what actually got through.  The
-virtual-clock harness answers "is the protocol right"; this one
-answers "how fast is this implementation", so it refuses impairment
-profiles: shaping traffic here would only measure the shaper.
+Runs lb-run's own balancer on 127.0.0.1, control pass included, and
+feeds it as a deployment does: members register over the control
+protocol and report their fill once a second, and the sender runs the
+sync heartbeat beside the paced stream.  The virtual-clock harness
+answers "is the protocol right"; this one answers "how fast is this
+implementation", so it takes no impairment profile: shaping traffic here
+would only measure the shaper.
 """
 
 from __future__ import annotations
 
-import logging
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
+from ..balancer import Balancer
+from ..control import ControlClient
 from ..controlplane import ControlPlane
-from ..dataplane import UdpDataPlane
 from ..receiver import Receiver, UdpReceiver
-from ..sender import stream_events, synth_events
-from .impair import ImpairmentProfile
+from ..sender import SharedTickState, emit_sync_loop, stream_events, synth_events
 
 __all__ = ["RealtimeResult", "run_realtime"]
 
-log = logging.getLogger(__name__)
+# lb-run's config for one instance with every address on loopback.
+LOOPBACK_CONFIG = {
+    "control": "127.0.0.1:0",
+    "metrics": "127.0.0.1:0",
+    "instances": [{"instance_id": 0, "listen": "127.0.0.1:0", "sync_listen": "127.0.0.1:0"}],
+}
+# How long delivery may trail the last send before the run ends anyway.
+DRAIN_TIMEOUT_S = 10.0
 
 
 @dataclass
@@ -45,9 +53,7 @@ class RealtimeResult:
     members: dict  # name -> MemberResult
 
     @property
-    def goodput_mbps(self) -> float:
-        if self.wall_duration_s <= 0:
-            return 0.0
+    def goodput_mbps(self) -> float:  # the wall clock spans the stream, never 0
         return self.payload_octets_delivered * 8 / self.wall_duration_s / 1e6
 
     @property
@@ -67,46 +73,24 @@ class RealtimeResult:
         return dropped / received if received else 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "events_sent": self.events_sent,
-            "fragments_sent": self.fragments_sent,
-            "wire_octets_sent": self.wire_octets_sent,
-            "send_duration_s": round(self.send_duration_s, 6),
-            "wall_duration_s": round(self.wall_duration_s, 6),
-            "events_delivered": self.events_delivered,
-            "payload_octets_delivered": self.payload_octets_delivered,
-            "goodput_mbps": round(self.goodput_mbps, 3),
-            "offered_mbps": round(self.offered_mbps, 3),
-            "delivered_fraction": round(self.delivered_fraction, 6),
-            "dp_drop_fraction": round(self.dp_drop_fraction, 8),
-            "dp_counters": self.dp_counters,
-            "members": {
-                n: {"events": m.events, "payload_octets": m.payload_octets, "counters": m.counters}
-                for n, m in self.members.items()
-            },
-        }
+        rates = {"goodput_mbps": 3, "offered_mbps": 3, "delivered_fraction": 6, "dp_drop_fraction": 8}
+        return {**asdict(self), **{k: round(getattr(self, k), n) for k, n in rates.items()}}
 
 
-class _Consumer(threading.Thread):
-    """Pops a receiver's queue as fast as it can and keeps score."""
+def _consume(rx: Receiver, result: MemberResult, halt: threading.Event):
+    """Pop a receiver's queue as fast as it can and keep score."""
+    while not halt.is_set():
+        event = rx.pop_event(block=True, timeout=0.1)
+        if event is not None:
+            result.events += 1
+            result.payload_octets += sum(len(p) for p in event.channels.values())
 
-    def __init__(self, name: str, rx: Receiver):
-        super().__init__(name=f"consume-{name}", daemon=True)
-        self.rx = rx
-        self.result = MemberResult()
-        self._halt = threading.Event()  # Thread.join uses a private _stop
 
-    def run(self):
-        while not self._halt.is_set():
-            event = self.rx.pop_event(block=True, timeout=0.1)
-            if event is None:
-                continue
-            self.result.events += 1
-            self.result.payload_octets += sum(len(p) for p in event.channels.values())
-
-    def stop(self):
-        self._halt.set()
-        self.join(timeout=2.0)
+def _report_fill(client: ControlClient, fronts: list, stop: threading.Event):
+    """Send every member's fill report once a second, as lb-recv does."""
+    while not stop.wait(1.0):
+        for front in fronts:
+            client.report(front.core.make_report(time.time_ns()))
 
 
 def run_realtime(
@@ -118,47 +102,40 @@ def run_realtime(
     members: list | None = None,  # (name, weight, queue_capacity) triples
     seed: int = 0,
     source_id: int = 1,
-    drain_timeout_s: float = 10.0,
-    rcvbuf: int = 32 << 20,
-    impairment: ImpairmentProfile | None = None,
 ) -> RealtimeResult:
-    """Push a synthetic stream through a loopback fabric and measure it."""
-    if impairment is not None and not impairment.is_identity:
-        raise ValueError("real-time runs measure the implementation; impairment only works on the virtual clock")
+    """Push a synthetic stream through lb-run's balancer on loopback and measure it."""
     members = members or [("m1", 1.0, 65536)]
-
-    cp = ControlPlane()
-    iid = cp.reserve_instance(listen=("127.0.0.1", 0))
-    dp = UdpDataPlane(cp.instances[iid], rcvbuf=rcvbuf)
-
-    fronts, consumers, cores = [], [], {}
+    lb = Balancer(ControlPlane(), LOOPBACK_CONFIG)
+    dp = lb.dataplanes[0]
+    iid = dp.instance.instance_id
+    shared, stop = SharedTickState(), threading.Event()
+    threads = [threading.Thread(target=lb.run, name="control-pass", daemon=True)]
+    fronts, results, client = [], {}, None
     try:
+        lb.start()
+        client = ControlClient(lb.control.address)
         for name, weight, capacity in members:
             rx = Receiver(expected_channels=range(channels), queue_capacity=capacity)
-            front = UdpReceiver(rx, "127.0.0.1", base_port=0, port_count=1, rcvbuf=rcvbuf)
-            rx.session_id = cp.register_member(
-                iid, "127.0.0.1", front.ports[0], 1, initial_weight=weight
-            )
-            fronts.append(front)
-            cores[name] = rx
-            consumers.append(_Consumer(name, rx))
-        cp.control_tick()  # static schedule before any traffic
-
-        dp.start()
-        for front in fronts:
-            front.start()
-        for consumer in consumers:
-            consumer.start()
+            fronts.append(UdpReceiver(rx, "127.0.0.1", base_port=0, port_count=1))
+            fronts[-1].start()
+            rx.session_id = client.register(iid, "127.0.0.1", fronts[-1].base_port, 1, weight=weight)
+            results[name] = MemberResult()
+            threads.append(threading.Thread(target=_consume, args=(rx, results[name], stop), daemon=True))
+        sync = tuple(lb.endpoints()["instances"][str(iid)]["sync"])
+        threads.append(threading.Thread(target=emit_sync_loop, args=(sync, source_id, shared, stop), daemon=True))
+        threads.append(threading.Thread(target=_report_fill, args=(client, fronts, stop), daemon=True))
+        for thread in threads:
+            thread.start()
 
         t0 = time.monotonic()
         stats = stream_events(
-            synth_events(count, channels, size, seed=seed), dp.address, rate_hz, mtu
+            synth_events(count, channels, size, seed=seed), dp.address, rate_hz, mtu, shared
         )
 
-        deadline = time.monotonic() + drain_timeout_s
+        deadline = time.monotonic() + DRAIN_TIMEOUT_S
         seen, last_change = -1, time.monotonic()
         while time.monotonic() < deadline:
-            total = sum(rx.counters["events"] for rx in cores.values())
+            total = sum(front.core.counters["events"] for front in fronts)
             if total != seen:
                 seen, last_change = total, time.monotonic()
             elif total >= count or time.monotonic() - last_change > 1.0:
@@ -166,16 +143,19 @@ def run_realtime(
             time.sleep(0.05)
         wall = time.monotonic() - t0
     finally:
-        for consumer in consumers:
-            consumer.stop()
+        stop.set()
+        lb.stopping.set()
+        for thread in threads:
+            if thread.is_alive():
+                thread.join(timeout=2.0)
         for front in fronts:
             front.stop()
-        dp.stop()
+        if client is not None:
+            client.close()
+        lb.close()
 
-    results = {}
-    for consumer, (name, _, _) in zip(consumers, members):
-        consumer.result.counters = dict(cores[name].counters)
-        results[name] = consumer.result
+    for front, result in zip(fronts, results.values()):
+        result.counters = dict(front.core.counters)
     return RealtimeResult(
         events_sent=stats.events,
         fragments_sent=stats.fragments,
@@ -184,6 +164,6 @@ def run_realtime(
         wall_duration_s=wall,
         events_delivered=sum(m.events for m in results.values()),
         payload_octets_delivered=sum(m.payload_octets for m in results.values()),
-        dp_counters=cp.instances[iid].counters(),
+        dp_counters=dp.instance.counters(),
         members=results,
     )

@@ -11,9 +11,9 @@ anything heavier would be overkill for a single read-only endpoint.
 from __future__ import annotations
 
 import http.server
-import threading
 from collections.abc import Iterable
 
+from . import netutil
 from .dataplane import DropReason
 
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -125,29 +125,9 @@ class _Handler(http.server.BaseHTTPRequestHandler):
         pass
 
 
-class MetricsServer(http.server.ThreadingHTTPServer):
+class MetricsServer(netutil.ServedOnThread, http.server.ThreadingHTTPServer):
     """Serves GET /metrics for one control plane."""
-
-    daemon_threads = True
 
     def __init__(self, cp, address: tuple[str, int] = ("127.0.0.1", 0)):
         super().__init__(address, _Handler)
         self.cp = cp
-        self._thread: threading.Thread | None = None
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return self.server_address[:2]
-
-    def start(self) -> None:
-        self._thread = threading.Thread(
-            target=self.serve_forever, name="metrics", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        self.shutdown()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        self.server_close()

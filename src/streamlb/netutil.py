@@ -1,14 +1,18 @@
-"""Small socket helpers shared by the UDP front ends."""
+"""Small socket helpers shared by the front ends."""
 
 from __future__ import annotations
 
 import socket
 import struct
+import threading
 
-__all__ = ["request_buffer", "parse_address", "recv_datagrams"]
+__all__ = ["ServedOnThread", "request_buffer", "parse_address", "recv_datagrams"]
 
 # How long a receive loop blocks before it looks at its stop flag.
 IDLE_TICK_S = 0.2
+# Kernel buffer each UDP front end asks for.  Unprivileged, the grant is
+# capped at twice net.core.rmem_max (wmem_max for sending).
+SOCKET_BUFFER = 8 << 20
 
 
 def request_buffer(sock: socket.socket, direction: str, size: int) -> int:
@@ -66,3 +70,31 @@ def recv_datagrams(sock: socket.socket, stop, bufsize: int = 65535):
         except OSError:  # closed under us
             return
         yield datagram
+
+
+class ServedOnThread:
+    """Mixin that serves a ``socketserver`` server from a daemon thread.
+
+    ``stop`` returns within one IDLE_TICK_S poll, also on a server that
+    never started.
+    """
+
+    daemon_threads = True  # request handlers never hold up an exit
+    _thread: threading.Thread | None = None
+
+    @property
+    def address(self) -> tuple:
+        return self.server_address[:2]
+
+    def start(self):
+        self._thread = threading.Thread(
+            target=self.serve_forever, args=(IDLE_TICK_S,), name=type(self).__name__, daemon=True
+        )
+        self._thread.start()
+
+    def stop(self):
+        if self._thread is not None:
+            self.shutdown()
+            self._thread.join(timeout=2.0)
+            self._thread = None
+        self.server_close()

@@ -427,27 +427,27 @@ class UdpReceiver:
 
     BIND_ATTEMPTS = 32
 
-    def __init__(self, core: Receiver, listen_ip: str, base_port: int, port_count: int, rcvbuf: int = 8 << 20):
+    def __init__(self, core: Receiver, listen_ip: str, base_port: int, port_count: int):
         if port_count < 1 or port_count & (port_count - 1):
             raise ValueError(f"port_count {port_count} is not a power of two")
         self.core = core
         if base_port:
-            self.socks = self._bind_range(listen_ip, base_port, port_count, rcvbuf)
+            self.socks = self._bind_range(listen_ip, base_port, port_count)
         else:
-            self.socks = self._bind_ephemeral_range(listen_ip, port_count, rcvbuf)
+            self.socks = self._bind_ephemeral_range(listen_ip, port_count)
         self.base_port = self.socks[0].getsockname()[1]
         self._stop = threading.Event()
         self._threads = []
         self._lock = threading.Lock()  # one ingest at a time into the core
 
     @staticmethod
-    def _bind_range(listen_ip: str, base_port: int, port_count: int, rcvbuf: int) -> list:
+    def _bind_range(listen_ip: str, base_port: int, port_count: int) -> list:
         socks = []
         try:
             for i in range(port_count):
                 s = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
                 socks.append(s)
-                netutil.request_buffer(s, "recv", rcvbuf)
+                netutil.request_buffer(s, "recv", netutil.SOCKET_BUFFER)
                 s.bind((listen_ip, base_port + i))
         except BaseException:
             for s in socks:
@@ -456,15 +456,15 @@ class UdpReceiver:
         return socks
 
     @classmethod
-    def _bind_ephemeral_range(cls, listen_ip: str, port_count: int, rcvbuf: int) -> list:
+    def _bind_ephemeral_range(cls, listen_ip: str, port_count: int) -> list:
         for _ in range(cls.BIND_ATTEMPTS):
-            (first,) = cls._bind_range(listen_ip, 0, 1, rcvbuf)
+            (first,) = cls._bind_range(listen_ip, 0, 1)
             base = first.getsockname()[1]
             if base + port_count - 1 > 0xFFFF:
                 first.close()
                 continue
             try:
-                return [first] + cls._bind_range(listen_ip, base + 1, port_count - 1, rcvbuf)
+                return [first] + cls._bind_range(listen_ip, base + 1, port_count - 1)
             except OSError as exc:
                 first.close()
                 if exc.errno != errno.EADDRINUSE:

@@ -299,7 +299,6 @@ def emit_sync_loop(
     shared: SharedTickState,
     stop: threading.Event,
     interval_s: float = 1.0,
-    sock: socket.socket | None = None,
 ):
     """1 Hz (default) sync heartbeat; runs until stop is set.
 
@@ -308,11 +307,8 @@ def emit_sync_loop(
     errors are logged and the loop keeps going; losing a sync only
     degrades prediction.
     """
-    own_sock = sock is None
-    if own_sock:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     last_total = 0
-    try:
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
         while True:
             _, total = shared.snapshot()
             rate = max(0, round((total - last_total) / interval_s))
@@ -323,6 +319,3 @@ def emit_sync_loop(
                 log.warning("sync send failed: %s", exc)
             if stop.wait(interval_s):
                 break
-    finally:
-        if own_sock:
-            sock.close()

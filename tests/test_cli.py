@@ -1,5 +1,6 @@
 """Command line entry points, including one full loopback pipeline."""
 
+import gc
 import json
 import os
 import signal
@@ -12,7 +13,7 @@ import time
 import pytest
 
 import streamlb
-from streamlb import cli, controlplane, wire
+from streamlb import balancer, cli, controlplane, wire
 from streamlb.control import ControlClient
 from streamlb.sender import event_digest, synth_events
 
@@ -243,6 +244,24 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("taken", ["listen", "sync_listen", "control", "metrics"])
+def test_run_startup_failure_closes_every_socket(tmp_path, capsys, taken):
+    kind = socket.SOCK_DGRAM if taken.endswith("listen") else socket.SOCK_STREAM
+    blocker = socket.socket(socket.AF_INET, kind)
+    blocker.bind(("127.0.0.1", 0))
+    if kind == socket.SOCK_STREAM:
+        blocker.listen()
+    instance = {"instance_id": 0, "listen": "127.0.0.1:0", "sync_listen": "127.0.0.1:0"}
+    config = {"control": "127.0.0.1:0", "metrics": "127.0.0.1:0", "instances": [instance]}
+    (instance if taken in instance else config)[taken] = "%s:%d" % blocker.getsockname()
+    try:
+        assert cli.main_run(["--config", _write_json(tmp_path / "lb.json", config)]) == 1
+        gc.collect()  # a leaked socket warns here, which tier-1 turns into an error
+    finally:
+        blocker.close()
+    assert "startup failed" in capsys.readouterr().err
+
+
 def test_recv_rejects_bad_port_count(capsys):
     rc = cli.main_recv(["--cp", "127.0.0.1:1", "--channels", "1", "--ports", "3"])
     assert rc == 2
@@ -255,7 +274,7 @@ def test_sync_listener_feeds_control_plane_and_stops_promptly():
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
     sock.bind(("127.0.0.1", 0))
     stop = threading.Event()
-    listener = threading.Thread(target=cli._sync_listener, args=(sock, cp, iid, stop), daemon=True)
+    listener = threading.Thread(target=balancer.sync_listener, args=(sock, cp, iid, stop), daemon=True)
     listener.start()
     try:
         out = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)

@@ -24,6 +24,7 @@ from streamlb.controlplane import (
     UnknownSession,
 )
 from streamlb.dataplane import SLOT_COUNT, ForwardAction
+from streamlb.metrics import MetricsServer
 
 
 @pytest.fixture
@@ -35,6 +36,17 @@ def fabric():
     yield cp, client
     client.close()
     server.stop()
+
+
+@pytest.mark.parametrize("server_class", [ControlServer, MetricsServer])
+def test_server_stops_within_a_quarter_second(server_class):
+    server_class(ControlPlane(), ("127.0.0.1", 0)).stop()  # never started
+    server = server_class(ControlPlane(), ("127.0.0.1", 0))
+    server.start()
+    time.sleep(0.1)
+    t0 = time.monotonic()
+    server.stop()
+    assert time.monotonic() - t0 < 0.25
 
 
 def test_full_lifecycle_over_the_wire(fabric):

@@ -382,11 +382,22 @@ def test_realtime_loopback_smoke():
     assert result.to_dict()["goodput_mbps"] > 0
 
 
-def test_realtime_rejects_impairment():
+def test_realtime_live_loop_keeps_two_members_past_the_stale_window():
+    """Only the fill reports keep members ready once STALE_AFTER_S has passed.
+
+    Without them the first control pass after STALE_AFTER_S publishes an
+    empty table one GUARD_S ahead, and a stream that outlasts both drops.
+    """
+    from streamlb.controlplane import GUARD_S, STALE_AFTER_S
     from streamlb.harness.realtime import run_realtime
 
-    with pytest.raises(ValueError):
-        run_realtime(count=1, size=10, impairment=ImpairmentProfile(loss_prob=0.1))
+    result = run_realtime(
+        count=2400, size=500, rate_hz=400.0, members=[("a", 1.0, 4096), ("b", 1.0, 4096)]
+    )
+    assert result.send_duration_s > STALE_AFTER_S + GUARD_S + 1.0
+    assert result.dp_counters["dropped"] == 0, result.dp_counters
+    assert result.delivered_fraction >= 0.99
+    assert all(m.events > 0 for m in result.members.values())
 
 
 def test_assertion_evaluation():

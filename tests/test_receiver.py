@@ -443,11 +443,11 @@ def test_udp_receiver_retries_a_taken_range(monkeypatch):
     calls = []
     bind_range = UdpReceiver._bind_range
 
-    def flaky(listen_ip, base_port, port_count, rcvbuf):
+    def flaky(listen_ip, base_port, port_count):
         calls.append(base_port)
         if base_port and len(calls) == 2:  # the rest of the first range is taken
             raise OSError(errno.EADDRINUSE, "taken")
-        return bind_range(listen_ip, base_port, port_count, rcvbuf)
+        return bind_range(listen_ip, base_port, port_count)
 
     monkeypatch.setattr(UdpReceiver, "_bind_range", staticmethod(flaky))
     front = UdpReceiver(make_receiver(), "127.0.0.1", base_port=0, port_count=2)
