@@ -45,7 +45,8 @@ class Balancer:
     """Binds every socket of a config at construction; a failed bind closes the rest.
 
     ``run`` is the 1 Hz control pass; setting ``stopping`` ends it and the
-    sync listeners.  ``close`` releases everything, also after a partial start.
+    sync listeners.  ``close`` releases everything, also after a partial
+    start, within about one IDLE_TICK_S.
     """
 
     def __init__(self, cp: controlplane.ControlPlane, config: dict):
@@ -98,7 +99,11 @@ class Balancer:
                 log.exception("control tick failed")
 
     def close(self):
-        self.stopping.set()
+        """Signal every part to stop, then join them: the exit waits one idle tick, not one per part."""
+        self.stopping.set()  # the control pass and the sync listeners
+        servers = [s for s in (self.control, self.metrics) if s is not None]
+        for part in (*self.dataplanes, *servers):
+            part.request_stop()
         for dp in self.dataplanes:
             dp.stop()
         for t in self._threads:
@@ -106,6 +111,5 @@ class Balancer:
                 t.join(timeout=2.0)
         for sock in self._sync_socks:
             sock.close()
-        for server in (self.control, self.metrics):
-            if server is not None:
-                server.stop()
+        for server in servers:
+            server.stop()

@@ -427,9 +427,10 @@ class ControlPlane:
 
         Slots go to the ready active members at their current weights; no
         feedback round runs.  Nothing is published while an epoch is still
-        ahead of the traffic, because a burst of joins would otherwise push
-        the epoch that in-flight ticks route through out of the retain
-        window.  The next control pass then picks the change up.
+        ahead of the traffic; the change then waits for the next control
+        pass.  (``apply_schedule`` supersedes an epoch ahead of the traffic,
+        so the epoch that in-flight ticks route through stays retained
+        either way.)
         """
         now = self.clock() if now_ns is None else now_ns
         with self._lock:
@@ -667,6 +668,7 @@ class ControlPlane:
                         for e in inst.epochs
                     ],
                     "epochs_emitted": inst.next_epoch_id - 1,
+                    "reads": inst.reads_total,  # read first: never above counters' received
                     "counters": inst.counters(),
                     "predicted_tick": predicted,
                 }

@@ -11,11 +11,15 @@ All mutation happens under one instance lock and epochs are swapped as
 a whole tuple, so the forwarding path never observes a half-applied
 schedule.
 
-Per datagram the socket loop makes one ``recv``; ``forward_packet``
-does one header unpack with inline magic and version checks, picks the
-epoch (newest first), indexes its slot and looks the member up; the loop
-then makes one ``sendto``.  No header object or exception is built on
-the way, and the returned ``ForwardAction`` is a plain slotted record.
+The socket loop reads with ``UDP_GRO`` set, so a run of datagrams that a
+sender wrote as one GSO write arrives in one read, cut into segments of
+the size its control message gives; a read without one is one datagram.
+``forward_segments`` routes every segment of a read under one hold of
+the lock, each by its own header and with the rule and counters that
+``forward_packet`` applies to a lone datagram: one header unpack with
+inline magic and version checks, the epoch (newest first), its slot and
+the member.  Each run of consecutive segments to one destination then
+leaves in one GSO write (``netutil.SegmentSender``).
 """
 
 from __future__ import annotations
@@ -137,6 +141,7 @@ class LbInstance:
     def __post_init__(self):
         self._lock = threading.RLock()
         self._epochs: tuple = ()
+        self.reads_total = 0  # forward_segments calls: the data plane's socket reads
         self.received_total = 0
         self.forwarded_total = 0
         self.forwarded_by_member: dict = {}
@@ -152,48 +157,102 @@ class LbInstance:
     def forward_packet(self, datagram: bytes) -> ForwardAction | Drop:
         """Route one datagram; returns the action, never raises."""
         with self._lock:
-            self.received_total += 1
-            if len(datagram) < LB_HEADER_SIZE:
-                return self._drop(DropReason.TRUNCATED, None)
-            magic, version, _protocol, _reserved, channel, tick = unpack_lb_header(datagram)
-            if magic != LB_MAGIC:
-                return self._drop(DropReason.BAD_MAGIC, None)
-            if version != WIRE_VERSION:
-                return self._drop(DropReason.BAD_VERSION, None)
-            epochs = self._epochs
-            if not epochs:
-                return self._drop(DropReason.NO_EPOCH, tick)
-            epoch = epochs[-1]
-            if epoch.boundary_tick > tick:
-                epoch = epochs[0]  # pre-boundary ticks use the oldest
-                for ep in epochs:
-                    if ep.boundary_tick <= tick:
-                        epoch = ep
-            sid = epoch.table[tick % self.slot_count]
-            if sid is None:
-                return self._drop(DropReason.NULL_SLOT, tick)
-            member = self.members.get(sid)
-            if member is None or member.state is MemberState.RETIRED:
-                return self._drop(DropReason.UNKNOWN_MEMBER, tick)
-            self.forwarded_total += 1
-            self.forwarded_by_member[sid] = self.forwarded_by_member.get(sid, 0) + 1
-            if self.max_forwarded_tick is None or tick > self.max_forwarded_tick:
-                self.max_forwarded_tick = tick
-            return ForwardAction(
-                (member.dest_ip, member.base_port + channel % member.port_count),  # dest_port
-                datagram[LB_HEADER_SIZE:],
-                sid,
-                tick,
-            )
+            dest, what, tick = self._route(datagram, 0, len(datagram))
+            self._count(dest, what, tick)
+        if dest is None:
+            return Drop(reason=what, tick=tick)
+        return ForwardAction(dest, datagram[LB_HEADER_SIZE:], what, tick)
 
-    def _drop(self, reason: DropReason, tick) -> Drop:
-        self.dropped_by_reason[reason] = self.dropped_by_reason.get(reason, 0) + 1
-        return Drop(reason=reason, tick=tick)
+    def forward_segments(self, buf: bytes, segment_size: int) -> list:
+        """Route each ``segment_size``-octet segment of one read; never raises.
+
+        Every segment counts as one datagram, exactly as ``forward_packet``
+        would count it; a size of 0 or of at least ``len(buf)`` makes the
+        buffer one datagram.  Returns the sends as ``(dest, payloads)``
+        pairs, one per run of consecutive forwarded segments to one
+        destination, each payload a segment minus its forwarding header.
+        """
+        total = len(buf)
+        runs = []
+        run_dest = payloads = head = None
+        with self._lock:
+            self.reads_total += 1
+            if not 0 < segment_size < total:  # one datagram
+                dest, what, tick = self._route(buf, 0, total)
+                self._count(dest, what, tick)
+                return [] if dest is None else [(dest, [buf[LB_HEADER_SIZE:]])]
+            route, count = self._route, self._count
+            for start in range(0, total, segment_size):
+                end = start + segment_size
+                if end > total:
+                    end = total
+                # A segment routes on its forwarding header alone, and the
+                # fragments of one channel share theirs: route a header once.
+                # A slice shorter than a header never matches a full one.
+                if buf[start : start + LB_HEADER_SIZE] != head:
+                    head = buf[start : start + LB_HEADER_SIZE]
+                    dest, what, tick = route(buf, start, end)
+                count(dest, what, tick)
+                if dest is None:
+                    continue
+                if dest != run_dest:
+                    run_dest, payloads = dest, []
+                    runs.append((dest, payloads))
+                payloads.append(buf[start + LB_HEADER_SIZE : end])
+        return runs
+
+    def _route(self, buf, start: int, end: int) -> tuple:
+        """The routing rule for the datagram ``buf[start:end]``; counts nothing.
+
+        Returns ``(dest, session_id, tick)``, or ``(None, DropReason,
+        tick)``.  The caller holds the instance lock.
+        """
+        if end - start < LB_HEADER_SIZE:
+            return None, DropReason.TRUNCATED, None
+        magic, version, _protocol, _reserved, channel, tick = unpack_lb_header(buf, start)
+        if magic != LB_MAGIC:
+            return None, DropReason.BAD_MAGIC, None
+        if version != WIRE_VERSION:
+            return None, DropReason.BAD_VERSION, None
+        epochs = self._epochs
+        if not epochs:
+            return None, DropReason.NO_EPOCH, tick
+        epoch = epochs[-1]
+        if epoch.boundary_tick > tick:
+            epoch = epochs[0]  # pre-boundary ticks use the oldest
+            for ep in epochs:
+                if ep.boundary_tick <= tick:
+                    epoch = ep
+        sid = epoch.table[tick % self.slot_count]
+        if sid is None:
+            return None, DropReason.NULL_SLOT, tick
+        member = self.members.get(sid)
+        if member is None or member.state is MemberState.RETIRED:
+            return None, DropReason.UNKNOWN_MEMBER, tick
+        return (member.dest_ip, member.base_port + channel % member.port_count), sid, tick  # dest_port
+
+    def _count(self, dest, what, tick):
+        """Count one datagram that ``_route`` sent to ``dest`` or dropped (``dest`` None)."""
+        self.received_total += 1
+        if dest is None:
+            self.dropped_by_reason[what] = self.dropped_by_reason.get(what, 0) + 1
+            return
+        self.forwarded_total += 1
+        self.forwarded_by_member[what] = self.forwarded_by_member.get(what, 0) + 1
+        if self.max_forwarded_tick is None or tick > self.max_forwarded_tick:
+            self.max_forwarded_tick = tick
 
     # --- schedule lifecycle -------------------------------------------------
 
     def apply_schedule(self, boundary_tick: int, table, epoch_id: int | None = None) -> Epoch:
-        """Publish a new epoch atomically; prune beyond the retain window."""
+        """Publish a new epoch atomically; prune beyond the retain window.
+
+        Once traffic has been forwarded, a newest epoch whose boundary is
+        still above ``max_forwarded_tick`` has routed no tick, so the new
+        epoch replaces it instead of pushing out the oldest.  At most one
+        epoch is then ahead of the traffic, and the epoch that traffic
+        routes through stays retained.
+        """
         table = tuple(table)
         with self._lock:
             if len(table) != self.slot_count:
@@ -212,7 +271,11 @@ class LbInstance:
                 epoch_id = self.next_epoch_id
             self.next_epoch_id = max(self.next_epoch_id, epoch_id) + 1
             epoch = Epoch(epoch_id=epoch_id, boundary_tick=boundary_tick, table=table)
-            epochs = self._epochs + (epoch,)
+            epochs = self._epochs
+            fwd = self.max_forwarded_tick
+            if fwd is not None and epochs and epochs[-1].boundary_tick > fwd:
+                epochs = epochs[:-1]  # supersede the unreached epoch
+            epochs += (epoch,)
             if len(epochs) > self.epoch_retain:
                 epochs = epochs[len(epochs) - self.epoch_retain :]
             self._epochs = epochs
@@ -269,13 +332,14 @@ class LbInstance:
 
 
 class UdpDataPlane:
-    """Socket front end for one instance: recv, route, send."""
+    """Socket front end for one instance: read, route, send."""
 
     def __init__(self, instance: LbInstance):
         self.instance = instance
         self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
             netutil.request_buffer(self.sock, "recv", netutil.SOCKET_BUFFER)
+            netutil.enable_gro(self.sock)
             self.sock.bind(instance.listen)
         except BaseException:
             self.sock.close()
@@ -295,17 +359,34 @@ class UdpDataPlane:
         self._thread.start()
 
     def _run(self):
-        forward = self.instance.forward_packet
-        send = self._out.sendto
-        for datagram in netutil.recv_datagrams(self.sock, self._stop):
-            if datagram is None:
+        # The loop is inline rather than a generator like
+        # netutil.recv_datagrams, and a lone datagram goes straight to
+        # sendto: on a stream of lone datagrams each call level saved
+        # costs about as much as recvmsg costs over recv.
+        route = self.instance.forward_segments
+        sendto = self._out.sendto
+        send = netutil.SegmentSender(self._out).send
+        recvmsg, ancbufsize, stop = self.sock.recvmsg, netutil.GRO_CMSG_SPACE, self._stop
+        netutil.arm_idle_tick(self.sock)
+        while not stop.is_set():
+            try:
+                data, ancdata, _flags, _addr = recvmsg(65535, ancbufsize)
+            except BlockingIOError:  # the idle tick: look at the stop flag
                 continue
-            action = forward(datagram)
-            if isinstance(action, ForwardAction):
+            except OSError:  # closed under us
+                return
+            for dest, payloads in route(data, netutil.gro_segment_size(ancdata) if ancdata else 0):
                 try:
-                    send(action.payload, action.dest)
+                    if len(payloads) == 1:
+                        sendto(payloads[0], dest)
+                    else:
+                        send(payloads, dest)
                 except OSError as exc:
-                    log.warning("sendto %s failed: %s", action.dest, exc)
+                    log.warning("send to %s failed: %s", dest, exc)
+
+    def request_stop(self):
+        """Ask the loop to stop; it does within one idle tick."""
+        self._stop.set()
 
     def stop(self):
         self._stop.set()

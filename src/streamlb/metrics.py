@@ -61,6 +61,7 @@ def render_metrics(cp) -> str:
     weight = _Metric("lb_member_weight", "gauge", "Control weight per member.")
     slots = _Metric("lb_member_slots", "gauge", "Slots held in the newest epoch per member.")
     predicted = _Metric("lb_predicted_tick", "gauge", "Predicted tick at the next boundary horizon.")
+    reads = _Metric("lb_reads_total", "counter", "Data-plane socket reads since start; one carries 1-64 datagrams.")
     received = _Metric("lb_received_total", "counter", "Datagrams received since start.")
     forwarded = _Metric("lb_forwarded_total", "counter", "Datagrams forwarded since start.")
     member_forwarded = _Metric(
@@ -84,6 +85,7 @@ def render_metrics(cp) -> str:
         if state["predicted_tick"] is not None:
             predicted.add(inst_label, state["predicted_tick"])
         counters = state["counters"]
+        reads.add(inst_label, state["reads"])
         received.add(inst_label, counters["received"])
         forwarded.add(inst_label, counters["forwarded"])
         for sid in sorted(counters["forwarded_by_member"]):
@@ -102,7 +104,7 @@ def render_metrics(cp) -> str:
 
     lines: list[str] = []
     for metric in (
-        fill, weight, slots, predicted, received, forwarded, member_forwarded,
+        fill, weight, slots, predicted, reads, received, forwarded, member_forwarded,
         dropped, epochs, max_forwarded, newest_boundary,
     ):
         lines.extend(metric.render())

@@ -5,6 +5,10 @@ is cut into mtu-sized fragments and every fragment is prefixed with the
 two wire headers (36 octets total), so the balancer can route on tick
 and the receiver can reassemble by (tick, channel, offset).
 
+A channel's fragments are all mtu-sized but the last, so the stream
+hands each channel to the kernel as one segmentation-offload write,
+which the kernel cuts back into one datagram per fragment.
+
 The sync side channel announces tick progress once a second so the
 control plane can place epoch boundaries ahead of the stream.  The
 first sync goes out before the first event and carries the tick about
@@ -24,7 +28,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from . import wire
+from . import netutil, wire
 
 __all__ = [
     "MTU_PAYLOAD_DEFAULT",
@@ -237,8 +241,12 @@ def stream_events(
     """Send a paced event stream; rate 0 means as fast as possible.
 
     Pacing is open-loop against absolute deadlines, so it never blocks
-    on receiver state and drift does not accumulate.  Socket errors are
-    fatal and propagate.
+    on receiver state and drift does not accumulate.  Each run of
+    consecutive equal-size fragments (a channel: full fragments and a
+    shorter last one) leaves in one GSO write when ``sock`` has
+    ``sendmsg``, else one datagram per ``sendto`` (``netutil.SegmentSender``).
+    A failed GSO write is resent one datagram per call; an error from
+    ``sendto`` is fatal and propagates.
     """
     stats = SenderStats(target_rate_hz=rate_hz)
     period = 1.0 / rate_hz if rate_hz > 0 else 0.0
@@ -251,6 +259,7 @@ def stream_events(
     own_sock = sock is None
     if own_sock:
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    send = netutil.SegmentSender(sock).send
     start = time.monotonic()
     try:
         for i, ev in enumerate(itertools.chain([first], it)):
@@ -258,10 +267,10 @@ def stream_events(
                 delay = start + i * period - time.monotonic()
                 if delay > 0:
                     time.sleep(delay)
-            for dg in fragment_event(ev, mtu_payload):
-                sock.sendto(dg, lb_address)
-                stats.fragments += 1
-                stats.octets += len(dg)
+            datagrams = fragment_event(ev, mtu_payload)
+            send(datagrams, lb_address)
+            stats.fragments += len(datagrams)
+            stats.octets += sum(map(len, datagrams))
             stats.events += 1
             if shared is not None:
                 shared.advance(ev.tick)

@@ -13,7 +13,7 @@ import time
 import pytest
 
 import streamlb
-from streamlb import balancer, cli, controlplane, wire
+from streamlb import balancer, cli, controlplane, metrics, receiver, sender, wire
 from streamlb.control import ControlClient
 from streamlb.sender import event_digest, synth_events
 
@@ -294,6 +294,65 @@ def test_sync_listener_feeds_control_plane_and_stops_promptly():
         sock.close()
     assert not listener.is_alive()
     assert elapsed < 1.0
+
+
+TWO_INSTANCES = {
+    "control": "127.0.0.1:0",
+    "metrics": "127.0.0.1:0",
+    "instances": [
+        {"instance_id": i, "listen": "127.0.0.1:0", "sync_listen": "127.0.0.1:0"} for i in (0, 1)
+    ],
+}
+
+
+def test_balancer_close_waits_one_idle_tick_not_one_per_part():
+    lb = balancer.Balancer(controlplane.ControlPlane(), TWO_INSTANCES)
+    lb.start()
+    time.sleep(0.3)  # every loop is parked in a receive or a poll
+    t0 = time.monotonic()
+    lb.close()
+    assert time.monotonic() - t0 < 0.3
+
+
+def test_balancer_delivers_gso_writes_through_two_receivers():
+    config = {**TWO_INSTANCES, "instances": TWO_INSTANCES["instances"][:1]}
+    cp = controlplane.ControlPlane()
+    lb = balancer.Balancer(cp, config)
+    fronts = []
+    try:
+        lb.start()
+        for _ in range(2):
+            front = receiver.UdpReceiver(receiver.Receiver(expected_channels=range(4)), "127.0.0.1", 0, 2)
+            fronts.append(front)
+            front.start()
+            cp.register_member(0, "127.0.0.1", front.base_port, 2)
+        assert cp.reschedule(0) is not None
+        # 16,000-octet channels: 11 full fragments and a shorter last one each
+        events = list(synth_events(150, channels=4, size_per_channel=16_000, seed=11))
+        stats = sender.stream_events(events, lb.dataplanes[0].address, rate_hz=1_000)
+        assert stats.fragments == 150 * 4 * 12
+        got = {}
+        deadline = time.monotonic() + 5.0
+        while sum(map(len, got.values())) < len(events) and time.monotonic() < deadline:
+            for i, front in enumerate(fronts):
+                event = front.core.pop_event(block=True, timeout=0.05)
+                if event is not None:
+                    assert event.tick not in got.get(i, {})
+                    got.setdefault(i, {})[event.tick] = event_digest(event)
+        values = {}
+        for line in metrics.render_metrics(cp).splitlines():
+            if line.startswith(("lb_reads_total", "lb_received_total", "lb_forwarded_total")):
+                name, value = line.split(" ")
+                values[name.split("{")[0]] = float(value)
+    finally:
+        for front in fronts:
+            front.stop()
+        lb.close()
+    assert len(got) == 2  # both members took events
+    delivered = [(tick, digest) for member in got.values() for tick, digest in member.items()]
+    assert sorted(delivered) == [(ev.tick, event_digest(ev)) for ev in events]  # each exactly once
+    assert values["lb_received_total"] == values["lb_forwarded_total"] == stats.fragments
+    assert values["lb_reads_total"] < values["lb_received_total"]
 
 
 # --- full pipeline over loopback ----------------------------------------------

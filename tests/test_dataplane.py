@@ -2,12 +2,13 @@
 
 import random
 import socket
+import struct
 import threading
 import time
 
 import pytest
 
-from streamlb import wire
+from streamlb import netutil, wire
 from streamlb.dataplane import (
     DRAIN_DELAY_S,
     SLOT_COUNT,
@@ -257,6 +258,34 @@ def test_apply_schedule_retains_four():
     assert inst.epochs[0].boundary_tick == 10
 
 
+def test_apply_schedule_supersedes_an_epoch_no_tick_has_reached():
+    inst = make_instance(1)
+    inst.apply_schedule(0, full_table(1))
+    inst.forward_packet(datagram(5))
+    for b in (10, 11, 12):
+        inst.apply_schedule(b, full_table(1))
+    assert [e.boundary_tick for e in inst.epochs] == [0, 12]
+    inst.forward_packet(datagram(12))  # traffic reaches the newest epoch
+    inst.apply_schedule(13, full_table(1))
+    assert [e.boundary_tick for e in inst.epochs] == [0, 12, 13]
+
+
+def test_epochs_ahead_of_the_traffic_never_split_a_tick():
+    # Without the superseding rule, the three publishes stack four epochs
+    # above tick 5, the fourth prunes the epoch tick 5 routes through, and
+    # its third fragment falls back to the oldest survivor: session 2.
+    inst = make_instance(1, 2)
+    inst.apply_schedule(0, full_table(1))
+    fragments = [datagram(5, offset=i, payload=b"f", total=3) for i in range(3)]
+    sessions = [inst.forward_packet(fragments[0]).session_id]
+    for b, sid in ((10, 2), (11, 1), (12, 2)):
+        inst.apply_schedule(b, full_table(sid))
+    sessions.append(inst.forward_packet(fragments[1]).session_id)
+    inst.apply_schedule(13, full_table(1))
+    sessions.append(inst.forward_packet(fragments[2]).session_id)
+    assert sessions == [1, 1, 1]
+
+
 def test_apply_schedule_stale_boundary():
     inst = make_instance(1)
     inst.apply_schedule(100, full_table(1))
@@ -500,3 +529,132 @@ def test_udp_dataplane_forwards_and_stops_promptly_without_traffic():
         sink.close()
     assert elapsed < 1.0
     assert not dp._thread.is_alive()
+
+
+# --- coalesced reads: forward_segments --------------------------------------------
+
+
+def lb_segment(tick, channel, size, rng):
+    """A datagram of exactly ``size`` octets: forwarding header, random rest."""
+    head = wire.encode_lb_header(wire.LbMetaHeader(channel=channel, tick=tick))
+    return head + rng.randbytes(size - len(head))
+
+
+def test_forward_segments_matches_forward_packet_per_segment():
+    reads = 0
+    for seed in range(6):
+        rng = random.Random(seed)
+        coalesced, single = LbInstance(instance_id=0), LbInstance(instance_id=0)
+        pair = (coalesced, single)
+        next_sid, boundary = 1, rng.randint(0, 1_000)
+
+        def register():
+            nonlocal next_sid
+            port_count = rng.choice([1, 2, 4])
+            for inst in pair:
+                inst.members[next_sid] = MemberSession(
+                    session_id=next_sid, dest_ip=f"10.1.{seed}.{next_sid}",
+                    base_port=30_000 + 16 * next_sid, port_count=port_count,
+                )
+            next_sid += 1
+
+        for _ in range(3):
+            register()
+        for _ in range(150):
+            roll = rng.random()
+            active = [s for s, m in single.members.items() if m.state is MemberState.ACTIVE]
+            if roll < 0.3:
+                table = tuple(rng.choice(active + [None]) for _ in range(SLOT_COUNT))
+                for inst in pair:
+                    inst.apply_schedule(boundary, table)
+                boundary += rng.randint(1, 6)
+            elif roll < 0.35 and len(active) > 1:
+                sid = rng.choice(active)
+                for inst in pair:  # retired behind a live table
+                    inst.members[sid].state = MemberState.RETIRED
+            elif roll < 0.4:
+                register()
+
+            # One read: full segments, then a shorter last one or a tail
+            # too short for a forwarding header.  Like a channel's
+            # fragments, a segment often repeats the header before it.
+            size = rng.randint(16, 80)
+            segments = []
+            edges = [e.boundary_tick + d for e in single.epochs for d in (-1, 0, 1)] or [0]
+            for _ in range(rng.randint(1, 24)):
+                if not segments or rng.random() < 0.4:
+                    tick = max(0, rng.choice(edges) if rng.random() < 0.5 else rng.randint(0, boundary + 20))
+                    channel, kind = rng.randint(0, 7), rng.random()
+                seg = lb_segment(tick, channel, size, rng)
+                if kind < 0.05:
+                    seg = b"XB" + seg[2:]
+                elif kind < 0.1:
+                    seg = seg[:2] + b"\x02" + seg[3:]
+                segments.append(seg)
+            last = rng.random()
+            if last < 0.4:
+                segments.append(lb_segment(rng.randint(0, boundary + 20), 0, rng.randint(16, size), rng))
+            elif last < 0.6:
+                segments.append(rng.randbytes(rng.randint(1, 15)))
+
+            want = []
+            for seg in segments:
+                action = single.forward_packet(seg)
+                if isinstance(action, ForwardAction):
+                    want.append((action.dest, action.payload))
+            runs = coalesced.forward_segments(b"".join(segments), size)
+            reads += 1
+            assert [(dest, bytes(p)) for dest, payloads in runs for p in payloads] == want
+            assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))  # every run is maximal
+            assert coalesced.counters() == single.counters()
+        c = coalesced.counters()
+        assert c["forwarded"] > 500 and len(c["dropped_by_reason"]) >= 5
+    assert reads == 6 * 150
+
+
+def test_forward_segments_lone_datagrams():
+    inst = make_instance(1)
+    inst.apply_schedule(0, full_table(1))
+    dg = datagram(3, payload=b"lone")
+    for size in (0, len(dg), len(dg) + 5):  # no cmsg, or a size past the read
+        (run,) = inst.forward_segments(dg, size)
+        assert run[0] == ("10.0.0.1", 18100) and [bytes(p) for p in run[1]] == [dg[16:]]
+    assert inst.forward_segments(b"", 0) == []
+    c = inst.counters()
+    assert (inst.reads_total, c["received"], c["forwarded"]) == (4, 4, 3)
+    assert c["dropped_by_reason"] == {"truncated": 1}
+
+
+def loopback_plane(*sinks):
+    """A running data plane over loopback whose members are the given sockets."""
+    inst = LbInstance(instance_id=0, listen=("127.0.0.1", 0))
+    for sid, sink in enumerate(sinks, start=1):
+        inst.members[sid] = MemberSession(
+            session_id=sid, dest_ip="127.0.0.1", base_port=sink.getsockname()[1], port_count=1
+        )
+    dp = UdpDataPlane(inst)
+    dp.start()
+    return inst, dp
+
+
+def test_udp_dataplane_routes_a_gso_write_segment_by_segment():
+    sinks = [socket.socket(socket.AF_INET, socket.SOCK_DGRAM) for _ in range(2)]
+    for sink in sinks:
+        sink.bind(("127.0.0.1", 0))
+        sink.settimeout(2.0)
+    inst, dp = loopback_plane(*sinks)
+    inst.apply_schedule(0, blocked_table([(1, 256), (2, 256)]))  # ticks 0-255 to 1, 256-511 to 2
+    ticks = [7, 7, 7, 300, 300, 8]
+    segments = [datagram(t, payload=bytes([i]) * 84) for i, t in enumerate(ticks)]
+    segments[-1] = segments[-1][:-40]  # a shorter last segment
+    out = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    try:
+        out.sendmsg(segments, [(netutil.SOL_UDP, netutil.UDP_SEGMENT, struct.pack("=H", 120))], 0, dp.address)
+        got = [[sinks[0].recv(200) for _ in range(4)], [sinks[1].recv(200) for _ in range(2)]]
+    finally:
+        out.close()
+        dp.stop()
+        for sink in sinks:
+            sink.close()
+    assert got == [[segments[i][16:] for i in (0, 1, 2, 5)], [segments[i][16:] for i in (3, 4)]]
+    assert (inst.reads_total, inst.counters()["received"]) == (1, 6)

@@ -537,7 +537,7 @@ def test_sim_churn_report_is_pinned():
     report = run_scenario(Scenario.from_dict(spec)).to_dict()
     assert report["fates"] == {"delivered": 15_000}
     digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
-    assert digest == "76d68dcaab4d5e8cabf4e34d663c352e45af77ba9dfa6bddebc59f343e67e00a"
+    assert digest == "81b1c43662d70f40117953459511be5baa70646e47063e1ddd2cc4e1e883c02a"
 
 
 def test_scheduler_matches_heap_only_reference_on_churn():

@@ -78,6 +78,22 @@ def test_render_forwarding_progress(cp_with_traffic):
     assert values[f'lb_newest_boundary_tick{{instance="{iid}"}}'] == epoch.boundary_tick
 
 
+def test_render_reads_beside_datagrams(cp_with_traffic):
+    # forward_packet is no socket read; each forward_segments call is one,
+    # however many datagrams it carries.
+    cp, iid, *_ = cp_with_traffic
+    inst = cp.instances[iid]
+    values = _scrape(metrics.render_metrics(cp))
+    assert values[f'lb_reads_total{{instance="{iid}"}}'] == 0.0
+    channel = fragment_event(Event(tick=600, channels={0: b"y" * 3000}), mtu_payload=1000)
+    inst.forward_segments(b"".join(channel), len(channel[0]))
+    inst.forward_segments(channel[0], len(channel[0]))
+    values = _scrape(metrics.render_metrics(cp))
+    assert values[f'lb_reads_total{{instance="{iid}"}}'] == 2.0
+    assert values[f'lb_received_total{{instance="{iid}"}}'] == 2.0 + 3 + 1
+    assert values[f'lb_forwarded_total{{instance="{iid}"}}'] == 1.0 + 3 + 1
+
+
 def test_render_shows_an_epoch_ahead_of_the_traffic(cp_with_traffic):
     # A join waits for the next control pass while the newest boundary is
     # above the highest forwarded tick; the two gauges show that.

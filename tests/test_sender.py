@@ -1,5 +1,7 @@
 """Sender: fragmentation, event files, pacing, sync heartbeats."""
 
+import errno
+import os
 import random
 import socket
 import threading
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamlb import wire
+from streamlb import netutil, wire
 from streamlb.sender import (
     MTU_PAYLOAD_MAX,
     Event,
@@ -213,6 +215,158 @@ def test_stream_events_unpaced_is_fast():
     stream_events(events, sink.getsockname(), rate_hz=0)
     assert time.monotonic() - t0 < 0.5
     sink.close()
+
+
+class CountingSocket:
+    """A UDP socket that counts its sendto and sendmsg calls."""
+
+    def __init__(self):
+        self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        self.calls = {"sendto": 0, "sendmsg": 0}
+
+    def sendto(self, data, dest):
+        self.calls["sendto"] += 1
+        return self.sock.sendto(data, dest)
+
+    def sendmsg(self, *args):
+        self.calls["sendmsg"] += 1
+        return self.sock.sendmsg(*args)
+
+    def close(self):
+        self.sock.close()
+
+
+class GsoRefusingSocket(CountingSocket):
+    """A socket whose every GSO write fails as on a device without checksum offload."""
+
+    def sendmsg(self, *args):
+        self.calls["sendmsg"] += 1
+        raise OSError(errno.EIO, "Input/output error")
+
+
+class SendtoOnlySocket:
+    """Has sendto and nothing else, like a wrapper that records only sendto."""
+
+    def __init__(self, sock):
+        self.sendto = sock.sendto
+
+
+def stream_through(sock, events, mtu=1400):
+    """Stream events through ``sock`` to a fresh sink; returns every datagram received."""
+    sink = sink_socket()
+    netutil.request_buffer(sink, "recv", netutil.SOCKET_BUFFER)
+    try:
+        stats = stream_events(events, sink.getsockname(), rate_hz=0, mtu_payload=mtu, sock=sock)
+        got = [sink.recv(65535) for _ in range(stats.fragments)]
+        sink.settimeout(0.05)
+        with pytest.raises(socket.timeout):
+            sink.recv(65535)  # nothing beyond the count
+    finally:
+        sink.close()
+    assert stats.fragments == sum(len(fragment_event(ev, mtu)) for ev in events)
+    return got
+
+
+def test_stream_events_sends_each_channel_in_one_gso_write():
+    # 16,000 octets per channel: 11 full 1436-octet datagrams and a 636-octet last one.
+    events = list(synth_events(3, channels=4, size_per_channel=16_000, seed=4))
+    sock = CountingSocket()
+    try:
+        got = stream_through(sock, events)
+    finally:
+        sock.close()
+    assert got == [dg for ev in events for dg in fragment_event(ev, 1400)]
+    assert sock.calls == {"sendto": 0, "sendmsg": 3 * 4}
+
+
+def test_stream_events_gso_runs_are_capped():
+    # Full fragments only: runs cross channels and stop at 64 segments.
+    events = list(synth_events(1, channels=3, size_per_channel=30 * 100, seed=5))
+    sock = CountingSocket()
+    try:
+        got = stream_through(sock, events, mtu=100)
+    finally:
+        sock.close()
+    assert got == fragment_event(events[0], 100)
+    assert sock.calls == {"sendto": 0, "sendmsg": 2}  # 64 + 26 segments
+
+
+def test_stream_events_falls_back_when_gso_is_refused():
+    events = list(synth_events(5, channels=2, size_per_channel=5_000, seed=6))
+    sock = GsoRefusingSocket()
+    try:
+        got = stream_through(sock, events)
+    finally:
+        sock.close()
+    assert got == [dg for ev in events for dg in fragment_event(ev, 1400)]
+    assert sock.calls == {"sendto": 5 * 2 * 4, "sendmsg": 1}  # refused once, then one datagram per call
+
+
+class FailingGsoSocket(CountingSocket):
+    """GSO writes to ``dest`` fail with ``errno_`` (``times`` of them, or every one)."""
+
+    def __init__(self, dest, errno_, times=None):
+        super().__init__()
+        self.dest, self.errno, self.times = dest, errno_, times
+
+    def sendmsg(self, buffers, ancdata, flags, dest):
+        if dest == self.dest and self.times != 0:
+            self.calls["sendmsg"] += 1
+            self.times = None if self.times is None else self.times - 1
+            raise OSError(self.errno, os.strerror(self.errno))
+        return super().sendmsg(buffers, ancdata, flags, dest)
+
+
+def drain(sink, count):
+    got = [sink.recv(65535) for _ in range(count)]
+    sink.settimeout(0.05)
+    with pytest.raises(socket.timeout):
+        sink.recv(65535)  # nothing beyond the count
+    sink.settimeout(2.0)
+    return got
+
+
+def test_segment_sender_refusal_holds_for_one_destination_only():
+    sinks = [sink_socket(), sink_socket()]
+    refused, kept = (s.getsockname() for s in sinks)
+    sock = FailingGsoSocket(refused, errno.EINVAL)  # as past a smaller path MTU
+    sender = netutil.SegmentSender(sock)
+    runs = [[bytes([i]) * 300] * 4 + [bytes([i]) * 100] for i in range(4)]
+    try:
+        for i, run in enumerate(runs):
+            sender.send(run, (refused, kept)[i % 2])
+        got = [drain(sinks[0], 10), drain(sinks[1], 10)]
+    finally:
+        sock.close()
+        for s in sinks:
+            s.close()
+    assert got == [runs[0] + runs[2], runs[1] + runs[3]]
+    assert sender.refused == {refused}
+    assert sock.calls == {"sendmsg": 1 + 2, "sendto": 5 + 5}  # refused once; the other keeps GSO
+
+
+def test_segment_sender_resends_a_run_after_a_transient_error():
+    sink = sink_socket()
+    sock = FailingGsoSocket(sink.getsockname(), errno.ENOBUFS, times=1)
+    sender = netutil.SegmentSender(sock)
+    runs = [[bytes([i]) * 200] * 6 for i in range(3)]
+    try:
+        for run in runs:
+            sender.send(run, sink.getsockname())
+        got = drain(sink, 18)
+    finally:
+        sock.close()
+        sink.close()
+    assert got == runs[0] + runs[1] + runs[2]
+    assert not sender.refused
+    assert sock.calls == {"sendmsg": 3, "sendto": 6}  # only the failed run went one datagram per call
+
+
+def test_stream_events_through_a_socket_with_only_sendto():
+    events = list(synth_events(5, channels=2, size_per_channel=5_000, seed=7))
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+        got = stream_through(SendtoOnlySocket(sock), events)
+    assert got == [dg for ev in events for dg in fragment_event(ev, 1400)]
 
 
 def test_stream_events_empty_source():
