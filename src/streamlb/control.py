@@ -9,8 +9,8 @@ hit; anything malformed maps to "BadRequest".
 
 One connection serves any number of requests in series.  Verbs:
 reserve, free, register, deregister, report, query.  A register or
-deregister publishes the new membership before it answers, unless an
-epoch is still ahead of the traffic.
+deregister publishes the new membership before it answers; an epoch
+that the traffic has not reached yet is superseded.
 
 A connection that sends nothing for READ_TIMEOUT_S is closed, and at
 most MAX_CONNECTIONS are served at once; later ones are closed on

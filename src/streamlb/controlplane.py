@@ -5,8 +5,8 @@ feedback into member weights, apportions the 512 slots by largest
 remainder, predicts the tick that will be current one guard interval
 ahead, and publishes the new table at that boundary so events already
 in flight keep routing through the epochs that admitted them.  A join or
-a leave publishes its table at once, without a feedback round, unless an
-epoch is still ahead of the traffic; then the next pass publishes it.
+a leave publishes its table at once, without a feedback round; an epoch
+that no forwarded tick has reached yet is superseded by the new one.
 
 State survives restarts through checksummed snapshots written with a
 temp-file-and-rename so a crash never leaves a torn file.
@@ -423,14 +423,12 @@ class ControlPlane:
         return emitted
 
     def reschedule(self, instance_id: int, now_ns: int | None = None) -> Epoch | None:
-        """Publish a membership change now; returns the epoch, or None.
+        """Publish a membership change now; returns the epoch, or None if the table is unchanged.
 
         Slots go to the ready active members at their current weights; no
-        feedback round runs.  Nothing is published while an epoch is still
-        ahead of the traffic; the change then waits for the next control
-        pass.  (``apply_schedule`` supersedes an epoch ahead of the traffic,
-        so the epoch that in-flight ticks route through stays retained
-        either way.)
+        feedback round runs.  An epoch still ahead of the traffic is
+        superseded (``apply_schedule``), so the epoch that in-flight ticks
+        route through stays retained.
         """
         now = self.clock() if now_ns is None else now_ns
         with self._lock:
@@ -440,10 +438,7 @@ class ControlPlane:
                 for sid, m in inst.members.items()
                 if m.state is MemberState.ACTIVE and self._is_ready(m, now)
             }
-            with inst._lock:  # the check and the publish see the same traffic
-                fwd = inst.max_forwarded_tick
-                caught_up = fwd is None or not inst.epochs or fwd >= inst.epochs[-1].boundary_tick
-                epoch = self._publish(instance_id, inst, weights, now) if caught_up else None
+            epoch = self._publish(instance_id, inst, weights, now)
             if self.snapshot_path is not None:
                 self.persist_state()
         return epoch
@@ -660,6 +655,9 @@ class ControlPlane:
                         "queue_fill": fb.report.queue_fill if fb and fb.report else None,
                         "ready": fb.report.ready if fb and fb.report else None,
                     }
+                reads = inst.reads_total  # read first: never above counters' received
+                counters = inst.counters()
+                fwd = counters["max_forwarded_tick"]
                 out[iid] = {
                     "listen": list(inst.listen),
                     "members": members,
@@ -667,9 +665,11 @@ class ControlPlane:
                         {"epoch_id": e.epoch_id, "boundary_tick": e.boundary_tick}
                         for e in inst.epochs
                     ],
+                    # Before any tick is forwarded, every epoch is ahead.
+                    "epochs_ahead": sum(fwd is None or e.boundary_tick > fwd for e in inst.epochs),
                     "epochs_emitted": inst.next_epoch_id - 1,
-                    "reads": inst.reads_total,  # read first: never above counters' received
-                    "counters": inst.counters(),
+                    "reads": reads,
+                    "counters": counters,
                     "predicted_tick": predicted,
                 }
             return out

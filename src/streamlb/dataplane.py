@@ -14,12 +14,12 @@ schedule.
 The socket loop reads with ``UDP_GRO`` set, so a run of datagrams that a
 sender wrote as one GSO write arrives in one read, cut into segments of
 the size its control message gives; a read without one is one datagram.
-``forward_segments`` routes every segment of a read under one hold of
-the lock, each by its own header and with the rule and counters that
-``forward_packet`` applies to a lone datagram: one header unpack with
-inline magic and version checks, the epoch (newest first), its slot and
-the member.  Each run of consecutive segments to one destination then
-leaves in one GSO write (``netutil.SegmentSender``).
+``forward_packet`` is the one routing entry point, for the socket loop
+and the virtual clock alike: each call is one read, and it routes every
+segment under one hold of the lock, each by its own header: one header
+unpack with inline magic and version checks, the epoch (newest first),
+its slot and the member.  Each run of consecutive segments to one
+destination then leaves in one GSO write (``netutil.SegmentSender``).
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ __all__ = [
     "MemberState",
     "MemberSession",
     "Epoch",
-    "ForwardAction",
-    "Drop",
     "LbInstance",
     "UdpDataPlane",
     "dest_port",
@@ -96,30 +94,6 @@ class Epoch:
     table: tuple  # SLOT_COUNT entries, session_id or None
 
 
-class ForwardAction:
-    """Send ``payload`` to ``dest``; built once per forwarded datagram."""
-
-    __slots__ = ("dest", "payload", "session_id", "tick")
-
-    def __init__(self, dest: tuple, payload: bytes, session_id: int, tick: int):
-        self.dest = dest  # (ip, port)
-        self.payload = payload  # datagram minus the 16-octet forwarding header
-        self.session_id = session_id
-        self.tick = tick
-
-    def __repr__(self):
-        return (
-            f"ForwardAction(dest={self.dest!r}, session_id={self.session_id}, "
-            f"tick={self.tick}, payload={len(self.payload)} octets)"
-        )
-
-
-@dataclass(frozen=True)
-class Drop:
-    reason: DropReason
-    tick: int | None = None
-
-
 def dest_port(member: MemberSession, channel: int) -> int:
     """Spread channels across the member's port range."""
     return member.base_port + (channel % member.port_count)
@@ -141,7 +115,7 @@ class LbInstance:
     def __post_init__(self):
         self._lock = threading.RLock()
         self._epochs: tuple = ()
-        self.reads_total = 0  # forward_segments calls: the data plane's socket reads
+        self.reads_total = 0  # forward_packet calls: one per socket read
         self.received_total = 0
         self.forwarded_total = 0
         self.forwarded_by_member: dict = {}
@@ -154,52 +128,55 @@ class LbInstance:
 
     # --- forwarding --------------------------------------------------------
 
-    def forward_packet(self, datagram: bytes) -> ForwardAction | Drop:
-        """Route one datagram; returns the action, never raises."""
-        with self._lock:
-            dest, what, tick = self._route(datagram, 0, len(datagram))
-            self._count(dest, what, tick)
-        if dest is None:
-            return Drop(reason=what, tick=tick)
-        return ForwardAction(dest, datagram[LB_HEADER_SIZE:], what, tick)
+    def forward_packet(self, buf: bytes, segment_size: int = 0) -> list:
+        """Route one read of ``segment_size``-octet segments; never raises.
 
-    def forward_segments(self, buf: bytes, segment_size: int) -> list:
-        """Route each ``segment_size``-octet segment of one read; never raises.
-
-        Every segment counts as one datagram, exactly as ``forward_packet``
-        would count it; a size of 0 or of at least ``len(buf)`` makes the
-        buffer one datagram.  Returns the sends as ``(dest, payloads)``
-        pairs, one per run of consecutive forwarded segments to one
-        destination, each payload a segment minus its forwarding header.
+        A size of 0, or of at least ``len(buf)``, makes the buffer one
+        datagram.  Every segment counts as one datagram received, and the
+        call as one read.  Returns the sends as ``(dest, session_id,
+        payloads)`` runs, one per run of consecutive forwarded segments
+        to one destination, each payload a segment minus its forwarding
+        header; a dropped segment shows only in the counters.
         """
         total = len(buf)
+        if not 0 < segment_size < total:
+            segment_size = total or 1  # one datagram, even an empty one
         runs = []
-        run_dest = payloads = head = None
+        run_dest = None
+        start = 0
         with self._lock:
             self.reads_total += 1
-            if not 0 < segment_size < total:  # one datagram
-                dest, what, tick = self._route(buf, 0, total)
-                self._count(dest, what, tick)
-                return [] if dest is None else [(dest, [buf[LB_HEADER_SIZE:]])]
-            route, count = self._route, self._count
-            for start in range(0, total, segment_size):
-                end = start + segment_size
-                if end > total:
-                    end = total
+            while True:
                 # A segment routes on its forwarding header alone, and the
-                # fragments of one channel share theirs: route a header once.
-                # A slice shorter than a header never matches a full one.
-                if buf[start : start + LB_HEADER_SIZE] != head:
+                # fragments of one channel share theirs: route a header once,
+                # then take every following segment that repeats it.  A tail
+                # shorter than a header never matches a full one.
+                end = start + segment_size
+                dest, sid, tick = self._route(buf, start, end if end < total else total)
+                if dest is not None:
+                    if dest != run_dest:
+                        run_dest, payloads = dest, []
+                        runs.append((dest, sid, payloads))
+                    payloads.append(buf[start + LB_HEADER_SIZE : end])
+                n = 1
+                if end < total:
                     head = buf[start : start + LB_HEADER_SIZE]
-                    dest, what, tick = route(buf, start, end)
-                count(dest, what, tick)
+                    while end < total and buf.startswith(head, end):
+                        n += 1
+                        if dest is not None:
+                            payloads.append(buf[end + LB_HEADER_SIZE : end + segment_size])
+                        end += segment_size
+                self.received_total += n
                 if dest is None:
-                    continue
-                if dest != run_dest:
-                    run_dest, payloads = dest, []
-                    runs.append((dest, payloads))
-                payloads.append(buf[start + LB_HEADER_SIZE : end])
-        return runs
+                    self.dropped_by_reason[sid] = self.dropped_by_reason.get(sid, 0) + n  # sid: the reason
+                else:
+                    self.forwarded_total += n
+                    self.forwarded_by_member[sid] = self.forwarded_by_member.get(sid, 0) + n
+                    if self.max_forwarded_tick is None or tick > self.max_forwarded_tick:
+                        self.max_forwarded_tick = tick
+                if end >= total:
+                    return runs
+                start = end
 
     def _route(self, buf, start: int, end: int) -> tuple:
         """The routing rule for the datagram ``buf[start:end]``; counts nothing.
@@ -231,27 +208,17 @@ class LbInstance:
             return None, DropReason.UNKNOWN_MEMBER, tick
         return (member.dest_ip, member.base_port + channel % member.port_count), sid, tick  # dest_port
 
-    def _count(self, dest, what, tick):
-        """Count one datagram that ``_route`` sent to ``dest`` or dropped (``dest`` None)."""
-        self.received_total += 1
-        if dest is None:
-            self.dropped_by_reason[what] = self.dropped_by_reason.get(what, 0) + 1
-            return
-        self.forwarded_total += 1
-        self.forwarded_by_member[what] = self.forwarded_by_member.get(what, 0) + 1
-        if self.max_forwarded_tick is None or tick > self.max_forwarded_tick:
-            self.max_forwarded_tick = tick
-
     # --- schedule lifecycle -------------------------------------------------
 
     def apply_schedule(self, boundary_tick: int, table, epoch_id: int | None = None) -> Epoch:
         """Publish a new epoch atomically; prune beyond the retain window.
 
         Once traffic has been forwarded, a newest epoch whose boundary is
-        still above ``max_forwarded_tick`` has routed no tick, so the new
-        epoch replaces it instead of pushing out the oldest.  At most one
-        epoch is then ahead of the traffic, and the epoch that traffic
-        routes through stays retained.
+        still above ``max_forwarded_tick`` has routed no tick, unless it is
+        the only one (ticks below every boundary route through the oldest),
+        so the new epoch replaces it instead of pushing out the oldest.  At
+        most one epoch is then ahead of the traffic, and the epoch that
+        traffic routes through stays retained.
         """
         table = tuple(table)
         with self._lock:
@@ -273,7 +240,7 @@ class LbInstance:
             epoch = Epoch(epoch_id=epoch_id, boundary_tick=boundary_tick, table=table)
             epochs = self._epochs
             fwd = self.max_forwarded_tick
-            if fwd is not None and epochs and epochs[-1].boundary_tick > fwd:
+            if fwd is not None and len(epochs) > 1 and epochs[-1].boundary_tick > fwd:
                 epochs = epochs[:-1]  # supersede the unreached epoch
             epochs += (epoch,)
             if len(epochs) > self.epoch_retain:
@@ -363,7 +330,7 @@ class UdpDataPlane:
         # netutil.recv_datagrams, and a lone datagram goes straight to
         # sendto: on a stream of lone datagrams each call level saved
         # costs about as much as recvmsg costs over recv.
-        route = self.instance.forward_segments
+        route = self.instance.forward_packet
         sendto = self._out.sendto
         send = netutil.SegmentSender(self._out).send
         recvmsg, ancbufsize, stop = self.sock.recvmsg, netutil.GRO_CMSG_SPACE, self._stop
@@ -375,7 +342,7 @@ class UdpDataPlane:
                 continue
             except OSError:  # closed under us
                 return
-            for dest, payloads in route(data, netutil.gro_segment_size(ancdata) if ancdata else 0):
+            for dest, _sid, payloads in route(data, netutil.gro_segment_size(ancdata) if ancdata else 0):
                 try:
                     if len(payloads) == 1:
                         sendto(payloads[0], dest)

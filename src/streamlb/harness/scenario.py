@@ -35,7 +35,6 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from ..controlplane import ControlPlane, UnknownSession
-from ..dataplane import Drop
 from ..receiver import QUEUE_CAPACITY_DEFAULT, PidController, Receiver
 from ..sender import Event, fragment_event
 from ..wire import SyncMessage
@@ -517,14 +516,14 @@ class _Run:
                 at(t_d, route, tk, pkt)
 
     def _dp_route(self, tick: int, datagram: bytes):
-        action = self.cp.instances[self.iid].forward_packet(datagram)
+        runs = self.cp.instances[self.iid].forward_packet(datagram)
         fate = self.fates[tick]
-        if isinstance(action, Drop):
+        if not runs:
             fate.dp_dropped += 1
             return
-        sid = action.session_id
+        ((_dest, sid, (payload,)),) = runs
         fate.dests.add(sid)
-        deliveries, dropped = self.hop_out.submit(self.now_ns, (tick, action.payload, sid))
+        deliveries, dropped = self.hop_out.submit(self.now_ns, (tick, payload, sid))
         if dropped:
             fate.lost += len(dropped)
         for t_d, (tk, payload, sid) in deliveries:

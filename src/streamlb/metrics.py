@@ -2,10 +2,11 @@
 
 One scrape renders the whole deployment: per-member gauges (fill, weight,
 slot share), the tick predictor output, and the forwarding counters of every
-instance.  The newest epoch boundary beside the highest tick forwarded shows
-an epoch still ahead of the traffic, which is what holds a join or a leave
-back until the next control pass.  The HTTP side is a thin stdlib server;
-anything heavier would be overkill for a single read-only endpoint.
+instance.  ``lb_epochs_ahead`` counts the retained epochs whose boundary no
+forwarded tick has reached.  A new epoch supersedes such an epoch unless it
+is the only one, so once the traffic has reached the oldest boundary the
+gauge reads 0 or 1.  The HTTP side is a thin stdlib server; anything
+heavier would be overkill for a single read-only endpoint.
 """
 
 from __future__ import annotations
@@ -69,6 +70,9 @@ def render_metrics(cp) -> str:
     )
     max_forwarded = _Metric("lb_max_forwarded_tick", "gauge", "Highest tick forwarded.")
     newest_boundary = _Metric("lb_newest_boundary_tick", "gauge", "Boundary tick of the newest epoch.")
+    epochs_ahead = _Metric(
+        "lb_epochs_ahead", "gauge", "Retained epochs whose boundary is above the highest tick forwarded."
+    )
     dropped = _Metric("lb_dropped_total", "counter", "Datagrams dropped, by reason.")
     epochs = _Metric("lb_epochs_total", "counter", "Epochs emitted since start.")
 
@@ -94,6 +98,7 @@ def render_metrics(cp) -> str:
             max_forwarded.add(inst_label, counters["max_forwarded_tick"])
         if state["epochs"]:
             newest_boundary.add(inst_label, state["epochs"][-1]["boundary_tick"])
+        epochs_ahead.add(inst_label, state["epochs_ahead"])
         by_reason = counters["dropped_by_reason"]
         for reason in DropReason:
             dropped.add(
@@ -105,7 +110,7 @@ def render_metrics(cp) -> str:
     lines: list[str] = []
     for metric in (
         fill, weight, slots, predicted, reads, received, forwarded, member_forwarded,
-        dropped, epochs, max_forwarded, newest_boundary,
+        dropped, epochs, max_forwarded, newest_boundary, epochs_ahead,
     ):
         lines.extend(metric.render())
     return "\n".join(lines) + "\n"

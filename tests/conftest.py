@@ -1,4 +1,4 @@
-"""Prints one PASS/FAIL line per acceptance criterion after a run."""
+"""Prints one PASS/FAIL line per acceptance criterion after a run; shared test helpers."""
 
 import re
 
@@ -17,6 +17,21 @@ CRITERIA = {
 
 _results: dict = {}
 notes: dict = {}
+
+
+def forward_one(inst, datagram):
+    """Route one datagram: ``(dest, session_id, payload)``, or ``(None, DropReason, None)``.
+
+    ``forward_packet`` reports a drop only in its counters, so the reason
+    is the one ``dropped_by_reason`` key the call moved.
+    """
+    before = dict(inst.dropped_by_reason)
+    runs = inst.forward_packet(datagram)
+    if runs:
+        ((dest, sid, (payload,)),) = runs
+        return dest, sid, payload
+    (reason,) = [r for r, n in inst.dropped_by_reason.items() if n != before.get(r, 0)]
+    return None, reason, None
 
 
 def _criterion_of(nodeid: str):

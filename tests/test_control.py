@@ -23,7 +23,7 @@ from streamlb.controlplane import (
     UnknownInstance,
     UnknownSession,
 )
-from streamlb.dataplane import SLOT_COUNT, ForwardAction
+from streamlb.dataplane import SLOT_COUNT
 from streamlb.metrics import MetricsServer
 
 
@@ -198,9 +198,8 @@ def test_membership_storm_never_splits_a_tick_nor_runs_two_epochs_ahead(monkeypa
         while not stop.is_set():
             dg = wire.encode_lb_header(wire.LbMetaHeader(channel=0, tick=tick)) + bytes(20)
             for _ in range(3):
-                action = inst.forward_packet(dg)
-                if isinstance(action, ForwardAction):
-                    dests.setdefault(tick, set()).add(action.session_id)
+                for _dest, sid, _payloads in inst.forward_packet(dg):
+                    dests.setdefault(tick, set()).add(sid)
             if tick % 32 == 0:
                 cp.ingest_sync(iid, wire.SyncMessage(1, tick, 0, time.time_ns()))
             tick += 1

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import forward_one
 
 from streamlb import controlplane as cp_mod
 from streamlb.controlplane import (
@@ -35,7 +36,7 @@ from streamlb.controlplane import (
     apportion_slots,
     load_snapshot,
 )
-from streamlb.dataplane import SLOT_COUNT, DropReason, ForwardAction, MemberState
+from streamlb.dataplane import SLOT_COUNT, DropReason, MemberState
 from streamlb.wire import SyncMessage
 
 S = 1_000_000_000
@@ -450,7 +451,7 @@ def test_deregister_sole_member_schedules_empty_table():
     from streamlb import wire
 
     dg = wire.encode_lb_header(wire.LbMetaHeader(channel=0, tick=epoch.boundary_tick)) + b"\x00" * 20
-    assert cp.instances[iid].forward_packet(dg).reason is DropReason.NULL_SLOT
+    assert forward_one(cp.instances[iid], dg)[1] is DropReason.NULL_SLOT
 
 
 def test_boundary_never_behind_forwarded_traffic():
@@ -491,9 +492,8 @@ def test_boundary_is_chosen_and_published_under_the_instance_lock(caplog):
         while not stop.is_set():
             dg = wire.encode_lb_header(wire.LbMetaHeader(channel=0, tick=tick)) + bytes(20)
             for _ in range(3):
-                action = inst.forward_packet(dg)
-                if isinstance(action, ForwardAction):
-                    dests.setdefault(tick, set()).add(action.session_id)
+                for _dest, sid, _payloads in inst.forward_packet(dg):
+                    dests.setdefault(tick, set()).add(sid)
             tick += 1
 
     old_interval = sys.getswitchinterval()
@@ -577,31 +577,27 @@ def test_reschedule_skips_members_not_ready():
     assert set(cp.reschedule(iid).table) == {None}  # no ready member: empty table
 
 
-def test_reschedule_waits_while_an_epoch_is_ahead_of_the_traffic():
+def test_reschedule_supersedes_an_epoch_ahead_of_the_traffic():
     cp, clock = make_cp()
     iid = cp.reserve_instance()
     inst = cp.instances[iid]
     a = full_member(cp, iid, 1)
     cp.ingest_sync(iid, sync(1, 1000, 1000, clock.now))
     cp.control_tick()
-    boundary = inst.epochs[-1].boundary_tick
-    assert boundary >= 1000
-    forward_tick(inst, 500)
+    (first,) = inst.epochs
+    assert first.boundary_tick >= 1000
+    forward_tick(inst, first.boundary_tick)  # traffic reaches the first epoch
     b = full_member(cp, iid, 2)
-    assert cp.reschedule(iid) is None  # max_forwarded_tick 500 < boundary
-    assert len(inst.epochs) == 1 and set(inst.epochs[-1].table) == {a}
-    forward_tick(inst, boundary - 1)
-    assert cp.reschedule(iid) is None
-    forward_tick(inst, boundary)
-    epoch = cp.reschedule(iid)
-    assert epoch is not None and set(epoch.table) == {a, b}
-    assert epoch.boundary_tick > boundary
-    # the new epoch is now ahead, so the next change waits again
+    ahead = cp.reschedule(iid)  # a join publishes at once
+    assert ahead is not None and set(ahead.table) == {a, b}
+    assert ahead.boundary_tick > first.boundary_tick
+    assert inst.epochs == (first, ahead)
     cp.deregister_member(b)
-    assert cp.reschedule(iid) is None
-    clock.advance(1.0)
-    assert cp.control_tick()  # the periodic pass still publishes it
-    assert set(inst.epochs[-1].table) == {a}
+    epoch = cp.reschedule(iid)  # so does a leave, while `ahead` is unreached
+    assert epoch is not None and set(epoch.table) == {a}
+    assert inst.epochs == (first, epoch)  # the unreached epoch is gone
+    fwd = inst.max_forwarded_tick
+    assert sum(e.boundary_tick > fwd for e in inst.epochs) == 1
 
 
 def test_reschedule_tells_the_listener_what_was_forwarded():
@@ -632,7 +628,6 @@ def test_reschedule_persists_the_membership_epoch(tmp_path):
 
 def test_draining_member_keeps_receiving_old_epoch_traffic():
     from streamlb import wire
-    from streamlb.dataplane import ForwardAction
 
     cp, clock = make_cp()
     iid = cp.reserve_instance()
@@ -653,9 +648,7 @@ def test_draining_member_keeps_receiving_old_epoch_traffic():
     # a tick admitted before the drain boundary still routes to the drainer
     old_epoch = inst.epochs[0]
     dg = wire.encode_lb_header(wire.LbMetaHeader(channel=0, tick=0)) + b"\x00" * 20
-    action = inst.forward_packet(dg)
-    assert isinstance(action, ForwardAction)
-    assert action.session_id == a
+    assert forward_one(inst, dg)[1] == a
 
 
 # --- persistence ------------------------------------------------------------

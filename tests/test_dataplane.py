@@ -7,14 +7,13 @@ import threading
 import time
 
 import pytest
+from conftest import forward_one
 
 from streamlb import netutil, wire
 from streamlb.dataplane import (
     DRAIN_DELAY_S,
     SLOT_COUNT,
-    Drop,
     DropReason,
-    ForwardAction,
     LbInstance,
     MemberSession,
     MemberState,
@@ -64,8 +63,7 @@ def blocked_table(counts):
 
 def routed(inst, tick):
     """The session a datagram for this tick goes to, or why it was dropped."""
-    action = inst.forward_packet(datagram(tick))
-    return action.session_id if isinstance(action, ForwardAction) else action.reason
+    return forward_one(inst, datagram(tick))[1]
 
 
 def test_select_epoch_boundary_edges():
@@ -86,9 +84,8 @@ def test_select_epoch_pre_boundary_falls_back_to_oldest():
 
 def test_select_epoch_empty_drops():
     inst = make_instance(1)
-    action = inst.forward_packet(datagram(7))
-    assert isinstance(action, Drop)
-    assert (action.reason, action.tick) == (DropReason.NO_EPOCH, 7)
+    assert inst.forward_packet(datagram(7)) == []
+    assert inst.dropped_by_reason == {DropReason.NO_EPOCH: 1}
 
 
 def test_select_member_modular_slot():
@@ -146,48 +143,42 @@ def test_forward_strips_header_and_targets_member():
     inst = make_instance(7)
     inst.apply_schedule(0, full_table(7))
     dg = datagram(tick=42, channel=6, payload=b"hello")
-    action = inst.forward_packet(dg)
-    assert isinstance(action, ForwardAction)
-    assert action.payload == dg[16:]
-    assert len(action.payload) == len(dg) - 16
-    assert action.dest == ("10.0.0.7", 18700 + 6 % 4)
-    assert action.session_id == 7
-    assert action.tick == 42
+    dest, sid, payload = forward_one(inst, dg)
+    assert payload == dg[16:]
+    assert len(payload) == len(dg) - 16
+    assert dest == ("10.0.0.7", 18700 + 6 % 4)
+    assert sid == 7
+    assert inst.max_forwarded_tick == 42
 
 
 def test_forward_drop_reasons():
     inst = make_instance(1)
     # no epoch yet
-    d = inst.forward_packet(datagram(5))
-    assert d == Drop(reason=DropReason.NO_EPOCH, tick=5)
+    assert routed(inst, 5) is DropReason.NO_EPOCH
 
     table = [None] * SLOT_COUNT
     table[0] = 1
     inst.apply_schedule(0, table)
 
-    assert inst.forward_packet(datagram(512)).session_id == 1
-    d = inst.forward_packet(datagram(513))
-    assert isinstance(d, Drop) and d.reason is DropReason.NULL_SLOT
+    assert routed(inst, 512) == 1
+    assert routed(inst, 513) is DropReason.NULL_SLOT
 
     # sync traffic belongs on the control port, not the data path
     sync = wire.encode_sync(wire.SyncMessage(1, 10, 100, 0))
-    d = inst.forward_packet(sync)
-    assert d.reason is DropReason.BAD_MAGIC
+    assert forward_one(inst, sync) == (None, DropReason.BAD_MAGIC, None)
 
-    d = inst.forward_packet(datagram(0)[:10])
-    assert d.reason is DropReason.TRUNCATED
+    assert forward_one(inst, datagram(0)[:10])[1] is DropReason.TRUNCATED
 
     bad = bytearray(datagram(0))
     bad[2] = 9
-    assert inst.forward_packet(bytes(bad)).reason is DropReason.BAD_VERSION
+    assert forward_one(inst, bytes(bad))[1] is DropReason.BAD_VERSION
 
 
 def test_forward_unknown_member_drop():
     inst = make_instance(1)
     inst.apply_schedule(0, full_table(1))
     inst.members.pop(1)  # simulate a vanished session behind a live table
-    d = inst.forward_packet(datagram(9))
-    assert d.reason is DropReason.UNKNOWN_MEMBER
+    assert routed(inst, 9) is DropReason.UNKNOWN_MEMBER
 
 
 def test_forward_counter_conservation():
@@ -236,7 +227,7 @@ def test_event_coherence_any_fragment_order():
         tick = rng.randint(0, 2**40)
         frags = [datagram(tick, channel=c, offset=o) for c in range(3) for o in (0, 1400)]
         rng.shuffle(frags)
-        owners = {inst.forward_packet(f).session_id for f in frags}
+        owners = {forward_one(inst, f)[1] for f in frags}
         assert len(owners) == 1
 
 
@@ -277,13 +268,26 @@ def test_epochs_ahead_of_the_traffic_never_split_a_tick():
     inst = make_instance(1, 2)
     inst.apply_schedule(0, full_table(1))
     fragments = [datagram(5, offset=i, payload=b"f", total=3) for i in range(3)]
-    sessions = [inst.forward_packet(fragments[0]).session_id]
+    sessions = [forward_one(inst, fragments[0])[1]]
     for b, sid in ((10, 2), (11, 1), (12, 2)):
         inst.apply_schedule(b, full_table(sid))
-    sessions.append(inst.forward_packet(fragments[1]).session_id)
+    sessions.append(forward_one(inst, fragments[1])[1])
     inst.apply_schedule(13, full_table(1))
-    sessions.append(inst.forward_packet(fragments[2]).session_id)
+    sessions.append(forward_one(inst, fragments[2])[1])
     assert sessions == [1, 1, 1]
+
+
+def test_the_only_epoch_is_kept_when_traffic_routes_below_its_boundary():
+    # Ticks below every boundary route through the oldest epoch, so a lone
+    # epoch above the traffic still carries it and must not be superseded.
+    inst = make_instance(1, 2)
+    inst.apply_schedule(1_000, full_table(1))
+    fragments = [datagram(500, offset=i, payload=b"f", total=2) for i in range(2)]
+    sessions = [forward_one(inst, fragments[0])[1]]
+    inst.apply_schedule(1_001, full_table(2))
+    sessions.append(forward_one(inst, fragments[1])[1])
+    assert sessions == [1, 1]
+    assert [e.boundary_tick for e in inst.epochs] == [1_000, 1_001]
 
 
 def test_apply_schedule_stale_boundary():
@@ -365,14 +369,11 @@ def test_schedule_swap_is_atomic_under_concurrent_forwarding():
     inst = make_instance(1, 2)
     inst.apply_schedule(0, full_table(1))
     stop = threading.Event()
-    errors = []
 
     def reader():
         rng = random.Random(threading.get_ident())
         while not stop.is_set():
-            out = inst.forward_packet(datagram(rng.randint(0, 100_000)))
-            if isinstance(out, Drop) and out.reason is not DropReason.NULL_SLOT:
-                errors.append(out)
+            inst.forward_packet(datagram(rng.randint(0, 100_000)))
 
     threads = [threading.Thread(target=reader) for _ in range(4)]
     for t in threads:
@@ -385,7 +386,8 @@ def test_schedule_swap_is_atomic_under_concurrent_forwarding():
     stop.set()
     for t in threads:
         t.join()
-    assert errors == []
+    # every drop counts under its own reason; a torn swap would show another
+    assert set(inst.dropped_by_reason) <= {DropReason.NULL_SLOT}
     c = inst.counters()
     assert c["forwarded"] + c["dropped"] == c["received"]
 
@@ -405,7 +407,7 @@ def reference_forward(inst, dg, model):
     try:
         header = wire.decode_lb_header(dg)
     except wire.WireError as exc:
-        reason, tick = _WIRE_DROPS[type(exc)], None
+        reason = _WIRE_DROPS[type(exc)]
     else:
         tick = header.tick
         epochs = inst.epochs
@@ -427,18 +429,11 @@ def reference_forward(inst, dg, model):
                 by[sid] = by.get(sid, 0) + 1
                 if model["max_forwarded_tick"] is None or tick > model["max_forwarded_tick"]:
                     model["max_forwarded_tick"] = tick
-                return ("forward", (member.dest_ip, dest_port(member, header.channel)), dg[16:], sid, tick)
+                return (member.dest_ip, dest_port(member, header.channel)), sid, dg[16:]
     drops = model["dropped_by_reason"]
     drops[reason.value] = drops.get(reason.value, 0) + 1
     model["dropped"] += 1
-    return ("drop", reason, tick)
-
-
-def observed(action):
-    if isinstance(action, ForwardAction):
-        return ("forward", action.dest, action.payload, action.session_id, action.tick)
-    assert isinstance(action, Drop)
-    return ("drop", action.reason, action.tick)
+    return None, reason, None
 
 
 def test_forward_matches_reference_model():
@@ -495,7 +490,8 @@ def test_forward_matches_reference_model():
                         b"XB" + dg[2:],
                     ])
                 want = reference_forward(inst, dg, model)
-                assert observed(inst.forward_packet(dg)) == want
+                assert forward_one(inst, dg) == want
+                assert inst.max_forwarded_tick == model["max_forwarded_tick"]
         c = inst.counters()
         assert c == model
         assert c["forwarded"] > 1_000 and len(c["dropped_by_reason"]) >= 5
@@ -531,7 +527,7 @@ def test_udp_dataplane_forwards_and_stops_promptly_without_traffic():
     assert not dp._thread.is_alive()
 
 
-# --- coalesced reads: forward_segments --------------------------------------------
+# --- coalesced reads ----------------------------------------------------------------
 
 
 def lb_segment(tick, channel, size, rng):
@@ -540,7 +536,7 @@ def lb_segment(tick, channel, size, rng):
     return head + rng.randbytes(size - len(head))
 
 
-def test_forward_segments_matches_forward_packet_per_segment():
+def test_coalesced_read_matches_each_segment_read_alone():
     reads = 0
     for seed in range(6):
         rng = random.Random(seed)
@@ -599,27 +595,27 @@ def test_forward_segments_matches_forward_packet_per_segment():
 
             want = []
             for seg in segments:
-                action = single.forward_packet(seg)
-                if isinstance(action, ForwardAction):
-                    want.append((action.dest, action.payload))
-            runs = coalesced.forward_segments(b"".join(segments), size)
+                for dest, sid, payloads in single.forward_packet(seg):
+                    want.extend((dest, sid, p) for p in payloads)
+            runs = coalesced.forward_packet(b"".join(segments), size)
             reads += 1
-            assert [(dest, bytes(p)) for dest, payloads in runs for p in payloads] == want
+            assert [(dest, sid, bytes(p)) for dest, sid, payloads in runs for p in payloads] == want
             assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))  # every run is maximal
             assert coalesced.counters() == single.counters()
+            assert single.reads_total == single.counters()["received"]  # a read per segment
         c = coalesced.counters()
         assert c["forwarded"] > 500 and len(c["dropped_by_reason"]) >= 5
+        assert coalesced.reads_total == 150
     assert reads == 6 * 150
 
 
-def test_forward_segments_lone_datagrams():
+def test_forward_packet_lone_datagrams():
     inst = make_instance(1)
     inst.apply_schedule(0, full_table(1))
     dg = datagram(3, payload=b"lone")
     for size in (0, len(dg), len(dg) + 5):  # no cmsg, or a size past the read
-        (run,) = inst.forward_segments(dg, size)
-        assert run[0] == ("10.0.0.1", 18100) and [bytes(p) for p in run[1]] == [dg[16:]]
-    assert inst.forward_segments(b"", 0) == []
+        assert inst.forward_packet(dg, size) == [(("10.0.0.1", 18100), 1, [dg[16:]])]
+    assert inst.forward_packet(b"") == []
     c = inst.counters()
     assert (inst.reads_total, c["received"], c["forwarded"]) == (4, 4, 3)
     assert c["dropped_by_reason"] == {"truncated": 1}

@@ -79,35 +79,43 @@ def test_render_forwarding_progress(cp_with_traffic):
 
 
 def test_render_reads_beside_datagrams(cp_with_traffic):
-    # forward_packet is no socket read; each forward_segments call is one,
-    # however many datagrams it carries.
+    # Each forward_packet call is one read, however many datagrams it
+    # carries: the fixture's two lone datagrams are two reads, so on the
+    # virtual clock, which routes a datagram per call, reads equal datagrams.
     cp, iid, *_ = cp_with_traffic
     inst = cp.instances[iid]
     values = _scrape(metrics.render_metrics(cp))
-    assert values[f'lb_reads_total{{instance="{iid}"}}'] == 0.0
-    channel = fragment_event(Event(tick=600, channels={0: b"y" * 3000}), mtu_payload=1000)
-    inst.forward_segments(b"".join(channel), len(channel[0]))
-    inst.forward_segments(channel[0], len(channel[0]))
-    values = _scrape(metrics.render_metrics(cp))
     assert values[f'lb_reads_total{{instance="{iid}"}}'] == 2.0
+    channel = fragment_event(Event(tick=600, channels={0: b"y" * 3000}), mtu_payload=1000)
+    inst.forward_packet(b"".join(channel), len(channel[0]))
+    inst.forward_packet(channel[0], len(channel[0]))
+    values = _scrape(metrics.render_metrics(cp))
+    assert values[f'lb_reads_total{{instance="{iid}"}}'] == 2.0 + 2
     assert values[f'lb_received_total{{instance="{iid}"}}'] == 2.0 + 3 + 1
     assert values[f'lb_forwarded_total{{instance="{iid}"}}'] == 1.0 + 3 + 1
 
 
 def test_render_shows_an_epoch_ahead_of_the_traffic(cp_with_traffic):
-    # A join waits for the next control pass while the newest boundary is
-    # above the highest forwarded tick; the two gauges show that.
+    # A control pass publishes a boundary above the highest forwarded tick;
+    # a join then supersedes that unreached epoch, so one stays ahead.
     cp, iid, *_ = cp_with_traffic
     cp.ingest_sync(iid, wire.SyncMessage(source_id=1, latest_tick=900,
                                          event_rate_hz=1000, wallclock_ns=0))
     cp.register_member(iid, "10.0.0.3", 7000, 2)
     assert cp.control_tick(now_ns=0)
     cp.register_member(iid, "10.0.0.4", 7000, 2)
-    assert cp.reschedule(iid) is None  # the join waits
+    cp.reschedule(iid)
     values = _scrape(metrics.render_metrics(cp))
     newest = values[f'lb_newest_boundary_tick{{instance="{iid}"}}']
     assert newest == cp.instances[iid].epochs[-1].boundary_tick
     assert newest > values[f'lb_max_forwarded_tick{{instance="{iid}"}}'] == 500.0
+    assert values[f'lb_epochs_ahead{{instance="{iid}"}}'] == 1.0
+    assert cp.query(iid)[iid]["epochs_ahead"] == 1
+    for dgram in fragment_event(Event(tick=int(newest), channels={0: b"z" * 100})):
+        cp.instances[iid].forward_packet(dgram)
+    values = _scrape(metrics.render_metrics(cp))
+    assert values[f'lb_max_forwarded_tick{{instance="{iid}"}}'] == newest
+    assert values[f'lb_epochs_ahead{{instance="{iid}"}}'] == 0.0
 
 
 def test_render_empty_control_plane():
