@@ -24,14 +24,20 @@ Every ingested packet lands in exactly one of four counters (applied,
 duplicate, stale, malformed), which keeps accounting losslessly
 reconcilable against sender and balancer counters.
 
-Per datagram the socket loop makes one ``recv`` and ``ingest_packet``
-does one header unpack with an inline version check.  A fragment that
-carries a whole channel (offset 0, every octet of the channel) skips
-the reassembly buffer; fragments that arrive in order append to the
-buffer's last interval, and only a gap or an overlap falls back to the
-interval list.  Ticks enter a min-heap when first seen, so the window
-evicts from its low end, exactly under reordering, instead of
-rescanning every tick.
+The sockets read with ``UDP_GRO`` set, so a run of datagrams that the
+balancer wrote as one GSO write arrives in one read, cut into segments
+of the size its control message gives; a read without one is one
+datagram.  ``ingest_packet`` is the one ingest entry point, for the
+socket loop and the virtual clock alike: each call is one read.  A read
+that holds one whole channel of one tick in order completes it with one
+join; any other read goes one segment at a time.  Per datagram,
+``ingest_packet`` does one header unpack with an inline version check.
+A fragment that carries a whole channel (offset 0, every octet of the
+channel) skips the reassembly buffer; fragments that arrive in order
+append to the buffer's last interval, and only a gap or an overlap
+falls back to the interval list.  Ticks enter a min-heap when first
+seen, so the window evicts from its low end, exactly under reordering,
+instead of rescanning every tick.
 
 The hand-off to the consumer is a ``queue.SimpleQueue``: a completed
 event costs one C-level put, and a consumer blocked in ``pop_event``
@@ -50,7 +56,7 @@ import threading
 import time
 
 from . import netutil
-from .wire import RE_HEADER_SIZE, WIRE_VERSION, unpack_re_header
+from .wire import RE_HEADER_SIZE, WIRE_VERSION, pack_re_header, unpack_re_header
 from .controlplane import FillReport
 from .sender import Event
 
@@ -276,12 +282,17 @@ class Receiver:
 
     # --- ingest -----------------------------------------------------------
 
-    def ingest_packet(self, datagram: bytes, now_ns: int):
-        """Apply one balancer-forwarded datagram (reassembly header + slice).
+    def ingest_packet(self, datagram: bytes, now_ns: int, segment_size: int = 0):
+        """Apply one read of balancer-forwarded datagrams (reassembly header + slice).
 
-        Returns the completed (tick, channel, payload) when this packet
-        finishes a buffer, else None.
+        The read is cut into ``segment_size``-octet datagrams, the last of
+        which may be shorter; a size of 0, or of at least its length,
+        makes it one datagram.  Every datagram counts as ingested.
+        Returns the last completed (tick, channel, payload) of the read,
+        else None.
         """
+        if 0 < segment_size < len(datagram):
+            return self._ingest_run(datagram, now_ns, segment_size)
         c = self.counters
         c["ingested"] += 1
         if len(datagram) < RE_HEADER_SIZE:
@@ -337,6 +348,52 @@ class Receiver:
         if not buf.complete:
             return None
         return self._complete(tick, rec, channel, buf.payload())
+
+    # The single-datagram body for the segments of a run.  Bound here, it
+    # stays the plain function when a subclass or a tracer replaces
+    # ``ingest_packet``, so a run is one call of that name.
+    _ingest_one = ingest_packet
+
+    def _ingest_run(self, buf: bytes, now_ns: int, size: int):
+        """Apply a read of ``size``-octet segments, the last possibly shorter.
+
+        A read that holds one whole channel of one tick in order, which
+        is what a sender's GSO write of a channel becomes, completes in
+        one join; any other goes one segment at a time.
+        """
+        total = len(buf)
+        n = -(-total // size)  # segments
+        step = size - RE_HEADER_SIZE  # payload octets of each but the last
+        if step > 0:  # so every segment holds a header and payload
+            word0, channel, offset, total_length, tick = unpack_re_header(buf)
+            rec = self.ticks.get(tick)
+            if (
+                not offset
+                and total_length == total - n * RE_HEADER_SIZE
+                and total_length > (n - 1) * step  # the last segment carries payload
+                and word0 >> 12 == WIRE_VERSION
+                and channel in self.expected_channels
+                and (self.newest_completed is None or tick >= self.newest_completed - self.tick_window)
+                and rec is not DELIVERED
+                and (rec is None or channel not in rec.parts)
+            ):
+                for k in range(1, n):
+                    if not buf.startswith(pack_re_header(word0, channel, k * step, total_length, tick), k * size):
+                        break
+                else:
+                    c = self.counters
+                    c["ingested"] += n
+                    c["applied"] += n
+                    if rec is None:
+                        rec = self.ticks[tick] = _Tick(now_ns)
+                        heapq.heappush(self._heap, tick)
+                    view = memoryview(buf)
+                    payload = b"".join([view[s + RE_HEADER_SIZE : s + size] for s in range(0, total, size)])
+                    return self._complete(tick, rec, channel, payload)
+        done = None
+        for s in range(0, total, size):
+            done = self._ingest_one(buf[s : s + size], now_ns) or done
+        return done
 
     def _complete(self, tick: int, rec: _Tick, channel: int, payload: bytes):
         c = self.counters
@@ -448,6 +505,7 @@ class UdpReceiver:
                 s = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
                 socks.append(s)
                 netutil.request_buffer(s, "recv", netutil.SOCKET_BUFFER)
+                netutil.enable_gro(s)
                 s.bind((listen_ip, base_port + i))
         except BaseException:
             for s in socks:
@@ -483,14 +541,25 @@ class UdpReceiver:
 
     def _ingest_loop(self, sock, housekeeping: bool):
         """Ingest until stopped; the first port's loop also expires stuck ticks."""
-        core, lock, clock = self.core, self._lock, time.time_ns
+        # The loop is inline rather than a generator like
+        # netutil.recv_datagrams: on a stream of lone datagrams the call
+        # level saved wins back some of what recvmsg costs over recv.
+        core, lock, clock, stop = self.core, self._lock, time.time_ns, self._stop
+        ingest, queue = core.ingest_packet, core.queue
+        recvmsg, ancbufsize, segment_size = sock.recvmsg, netutil.GRO_CMSG_SPACE, netutil.gro_segment_size
         interval_ns = int(EXPIRE_INTERVAL_S * 1e9)
         next_expire = clock() + interval_ns
-        queue = core.queue
-        for datagram in netutil.recv_datagrams(sock, self._stop):
+        netutil.arm_idle_tick(sock)
+        while not stop.is_set():
+            try:
+                data, ancdata, _flags, _addr = recvmsg(65535, ancbufsize)
+            except BlockingIOError:  # the idle tick: housekeeping only
+                data = None
+            except OSError:  # closed under us
+                return
             now = clock()
             with lock:
-                completed = datagram is not None and core.ingest_packet(datagram, now)
+                completed = data is not None and ingest(data, now, segment_size(ancdata) if ancdata else 0)
                 if housekeeping and now >= next_expire:
                     core.expire(now)
                     next_expire = now + interval_ns

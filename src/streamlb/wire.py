@@ -73,6 +73,7 @@ __all__ = [
     "decode_sync",
     "unpack_lb_header",
     "unpack_re_header",
+    "pack_re_header",
     "pack_datagram_headers",
 ]
 
@@ -113,6 +114,7 @@ DATAGRAM_OVERHEAD = LB_HEADER_SIZE + RE_HEADER_SIZE
 # Callers guarantee the length; a short buffer raises struct.error.
 unpack_lb_header = _LB_STRUCT.unpack_from  # magic, version, protocol, reserved, channel, tick
 unpack_re_header = _RE_STRUCT.unpack_from  # version<<12|reserved, channel, offset, total, tick
+pack_re_header = _RE_STRUCT.pack  # the same fields back to 20 octets
 
 # Both sender-side headers in one pack, forwarding header first; the
 # layout is _LB_STRUCT's followed by _RE_STRUCT's, with no padding.

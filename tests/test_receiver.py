@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from streamlb import wire
+from streamlb import netutil, wire
 from streamlb.receiver import (
     DELIVERED,
     QUEUE_CAPACITY_DEFAULT,
@@ -415,6 +415,28 @@ def test_udp_receiver_end_to_end():
         front.stop()
 
 
+def test_udp_receiver_reads_a_gso_write_without_udp_gro(monkeypatch):
+    # A kernel before 5.0 refuses UDP_GRO: it cuts the write into datagrams.
+    monkeypatch.setattr(netutil, "enable_gro", lambda sock: None)
+    core = make_receiver()
+    reads = []
+    ingest = core.ingest_packet
+    core.ingest_packet = lambda buf, now, size=0: reads.append(size) or ingest(buf, now, size)
+    front = UdpReceiver(core, "127.0.0.1", base_port=0, port_count=1)
+    front.start()
+    event = Event(tick=5, channels={0: random.Random(5).randbytes(16_000)})  # 12 fragments
+    try:
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as out:
+            netutil.SegmentSender(out).send(forwarded(event), ("127.0.0.1", front.base_port))
+        assert core.pop_event(block=True, timeout=2.0) == event
+        assert core.pop_event(block=True, timeout=0.3) is None
+    finally:
+        front.stop()
+    assert reads == [0] * 12
+    assert core.counters["ingested"] == core.counters["applied"] == 12
+    assert core.counters["events"] == 1
+
+
 def test_udp_receiver_rejects_bad_port_count():
     with pytest.raises(ValueError):
         UdpReceiver(make_receiver(), "127.0.0.1", 0, port_count=3)
@@ -693,17 +715,55 @@ def re_datagram(tick, channel, offset, total, chunk, version=wire.WIRE_VERSION):
     return header + chunk
 
 
+def sender_fragments(rng, tick, channel, total, payload, chunk):
+    """A channel cut as a sender cuts it, equal chunks in order, 60% of
+    the time with one fault: a fragment lost, two reordered, a lost one
+    replaced by a duplicate of another, one fragment or all of them
+    foreign or of another version, or a header-only fragment at the end."""
+    pieces = [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]
+    fault = rng.randrange(10)
+    if fault == 4:
+        channel, version = (99, wire.WIRE_VERSION) if rng.random() < 0.5 else (channel, 2)
+    else:
+        version = wire.WIRE_VERSION
+    datagrams = [re_datagram(tick, channel, lo, total, payload[lo:hi], version) for lo, hi in pieces]
+    full = [i for i, (lo, hi) in enumerate(pieces) if hi - lo == chunk]  # all but a shorter last
+    if fault == 0:
+        del datagrams[rng.randrange(len(datagrams))]
+    elif fault == 1 and len(full) > 1:
+        i, j = rng.sample(full, 2)
+        datagrams[i], datagrams[j] = datagrams[j], datagrams[i]
+    elif fault == 2 and len(full) > 1:
+        i, j = rng.sample(full, 2)
+        datagrams[i] = datagrams[j]
+    elif fault == 3:
+        i = rng.randrange(len(datagrams))
+        lo, hi = pieces[i]
+        if rng.random() < 0.5:
+            datagrams[i] = re_datagram(tick, 99, lo, total, payload[lo:hi])
+        else:
+            datagrams[i] = re_datagram(tick, channel, lo, total, payload[lo:hi], version=2)
+    elif fault == 5:
+        datagrams.append(re_datagram(tick, channel, total, total, b""))
+    return datagrams
+
+
 def receiver_stream(rng, channels, n_ticks):
     """Fragments of random events, around a window that keeps moving."""
     base = 1_000
     for _ in range(n_ticks):
         base += rng.randint(0, 6)
         tick = base + rng.randint(-TICK_WINDOW - 8, 8)  # out of order across the window edge
+        fragment_size = rng.choice([10, 25, 50, 100, 350])  # the sender's, for this tick
         for channel in rng.sample(channels, rng.randint(1, len(channels))):
             total = rng.choice([0, 1, 50, 300, 1400])
             payload = rng.randbytes(total)
-            if rng.random() < 0.3:
+            style = rng.random()
+            if style < 0.3:
                 yield re_datagram(tick, channel, 0, total, payload)  # whole channel
+                continue
+            if style < 0.6 and total > fragment_size:
+                yield from sender_fragments(rng, tick, channel, total, payload, fragment_size)
                 continue
             for lo, hi in random_chunks(rng, total):
                 chunk = bytearray(payload[lo:hi])
@@ -721,42 +781,111 @@ def receiver_stream(rng, channels, n_ticks):
             yield re_datagram(tick, channels[0], 0, 1, b"x", version=2)
 
 
+def replay_against_model(rng, channels, timeout, reads):
+    """Feed each read (octets, segment size) to a Receiver whole, and its
+    datagrams one at a time to the reference model; assert that both
+    agree along the way and at the end.
+
+    Returns the Receiver, its drops, the number of multi-segment reads it
+    completed in one join, and the number of segments it applied one at
+    a time."""
+    fast = make_receiver(channels=channels, capacity=64, reassembly_timeout_s=timeout)
+    model = ModelReceiver(expected_channels=channels, queue_capacity=64, reassembly_timeout_s=timeout)
+    got_fast, got_model = [], []
+    fast.on_event = lambda t, ev: got_fast.append(ev)
+    model.on_event = lambda t, ev: got_model.append(ev)
+    dropped_fast, dropped_model = [], []
+    fast.on_dropped = lambda t, fate: dropped_fast.append((t, fate))
+    model.on_dropped = lambda t, fate: dropped_model.append((t, fate))
+    one_by_one = []
+    ingest_one = fast._ingest_one
+    fast._ingest_one = lambda datagram, now: one_by_one.append(datagram) or ingest_one(datagram, now)
+    now = 0
+    joined = 0
+    for i, (buf, size) in enumerate(reads):
+        now += rng.randint(0, 2_000_000)
+        before = len(one_by_one)
+        done = fast.ingest_packet(buf, now, size)
+        segments = [buf[s : s + size] for s in range(0, len(buf), size)] if size else [buf]
+        joined += len(segments) > 1 and len(one_by_one) == before
+        expected = None
+        for datagram in segments:
+            expected = model.ingest_packet(datagram, now) or expected
+        assert done == expected, i
+        if i % 97 == 0:
+            assert fast.expire(now) == model.expire(now)
+        if i % 50 == 0:
+            assert model_view(fast).delivered_ticks == model.delivered_ticks
+            assert dropped_fast == dropped_model, i
+    assert fast.counters == model.counters
+    assert got_fast == got_model
+    assert dropped_fast == dropped_model
+    view = model_view(fast)
+    assert view.delivered_ticks == model.delivered_ticks
+    assert view.tick_channels == model.tick_channels
+    assert view.tick_first_seen == model.tick_first_seen
+    assert view.buffers.keys() == model.buffers.keys()
+    for key, buf in view.buffers.items():
+        ref = model.buffers[key]
+        assert (buf.intervals, buf.poisoned, buf.data) == (ref.intervals, ref.poisoned, ref.data)
+    return fast, dropped_fast, joined, len(one_by_one)
+
+
 def test_fast_ingest_matches_reference_model():
     for seed in range(6):
         rng = random.Random(seed)
         channels = [0, 1, 2][: 1 + seed % 3]
         timeout = 0.02 if seed % 2 else REASSEMBLY_TIMEOUT_S
-        fast = make_receiver(channels=channels, capacity=64, reassembly_timeout_s=timeout)
-        model = ModelReceiver(expected_channels=channels, queue_capacity=64, reassembly_timeout_s=timeout)
-        got_fast, got_model = [], []
-        fast.on_event = lambda t, ev: got_fast.append(ev)
-        model.on_event = lambda t, ev: got_model.append(ev)
-        dropped_fast, dropped_model = [], []
-        fast.on_dropped = lambda t, fate: dropped_fast.append((t, fate))
-        model.on_dropped = lambda t, fate: dropped_model.append((t, fate))
-        now = 0
         stream = list(receiver_stream(rng, channels, 1500))
         # replay a slice late so duplicates arrive after delivery and eviction
         stream += stream[len(stream) // 2 : len(stream) // 2 + 200]
-        for i, datagram in enumerate(stream):
-            now += rng.randint(0, 2_000_000)
-            assert fast.ingest_packet(datagram, now) == model.ingest_packet(datagram, now), i
-            if i % 97 == 0:
-                assert fast.expire(now) == model.expire(now)
-            if i % 50 == 0:
-                assert model_view(fast).delivered_ticks == model.delivered_ticks
-                assert dropped_fast == dropped_model, i
-        assert fast.counters == model.counters
+        fast, dropped, _, _ = replay_against_model(rng, channels, timeout, [(dg, 0) for dg in stream])
         assert fast.counters["events"] > 100 and fast.counters["stale_buffers"] > 0
         assert fast.counters["timeouts"] > 0 or not seed % 2
-        assert got_fast == got_model
-        assert dropped_fast == dropped_model
-        assert {fate for _, fate in dropped_fast} == {"stale", "evicted"} | ({"timeout"} if seed % 2 else set())
-        view = model_view(fast)
-        assert view.delivered_ticks == model.delivered_ticks
-        assert view.tick_channels == model.tick_channels
-        assert view.tick_first_seen == model.tick_first_seen
-        assert view.buffers.keys() == model.buffers.keys()
+        assert {fate for _, fate in dropped} == {"stale", "evicted"} | ({"timeout"} if seed % 2 else set())
+
+
+class GsoWrites:
+    """A socket stand-in that keeps each write of ``SegmentSender`` as the
+    read a ``UDP_GRO`` receiver gets: (octets, segment size or 0)."""
+
+    def __init__(self):
+        self.reads = []
+
+    def sendmsg(self, run, _ancdata, _flags, _dest):
+        self.reads.append((b"".join(run), len(run[0])))
+
+    def sendto(self, datagram, _dest):
+        self.reads.append((datagram, 0))
+
+
+def gso_reads(rng, stream):
+    """The reads of ``stream`` written by ``SegmentSender``: most sends end
+    where the channel or the tick changes, some run on into the next."""
+    writes = GsoWrites()
+    send = netutil.SegmentSender(writes).send
+    batch = []
+    for datagram in stream:
+        if batch and datagram[2:4] + datagram[12:20] != batch[-1][2:4] + batch[-1][12:20] and rng.random() < 0.7:
+            send(batch, ("127.0.0.1", 1))
+            batch = []
+        batch.append(datagram)
+    send(batch, ("127.0.0.1", 1))
+    return writes.reads
+
+
+def test_coalesced_reads_match_the_model_fed_one_datagram_at_a_time():
+    for seed in range(6):
+        rng = random.Random(100 + seed)
+        channels = [0, 1, 2][: 1 + seed % 3]
+        timeout = 0.02 if seed % 2 else REASSEMBLY_TIMEOUT_S
+        stream = list(receiver_stream(rng, channels, 1500))
+        # replay a slice late, so whole runs arrive for delivered channels
+        stream += stream[len(stream) // 2 : len(stream) // 2 + 200]
+        reads = gso_reads(rng, stream)
+        assert b"".join(buf for buf, _ in reads) == b"".join(stream)
+        _, _, joined, one_by_one = replay_against_model(rng, channels, timeout, reads)
+        assert joined > 40 and one_by_one > 1000  # both paths ran
 
 
 def test_tick_heap_stays_bounded_when_nothing_completes():

@@ -5,13 +5,16 @@ A renamed function would leave its per-layer figure at 0 with only a
 warning, so every name must resolve here.
 """
 
+import hashlib
 import importlib.util
 import socket
 from pathlib import Path
 
 import pytest
 
+from streamlb import netutil, wire
 from streamlb.dataplane import SLOT_COUNT, LbInstance, MemberSession, UdpDataPlane
+from streamlb.receiver import Receiver, UdpReceiver
 from streamlb.sender import Event, fragment_event
 
 _TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -58,3 +61,23 @@ def test_the_socket_loop_routes_through_the_traced_entry_point(tracer):
         sink.close()
     routed = tracer.totals().get("streamlb.dataplane.LbInstance.forward_packet", {"calls": 0})
     assert routed["calls"] == 1
+
+
+def test_the_receiver_loop_ingests_a_channel_through_one_traced_call(tracer):
+    tracer, _ = tracer
+    payload = bytes(range(256)) * 62 + bytes(128)  # 16,000 octets: 12 fragments
+    core = Receiver(expected_channels=(0,))
+    front = UdpReceiver(core, "127.0.0.1", base_port=0, port_count=1)
+    front.start()
+    out = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    try:
+        run = [dg[wire.LB_HEADER_SIZE :] for dg in fragment_event(Event(tick=9, channels={0: payload}))]
+        netutil.SegmentSender(out).send(run, ("127.0.0.1", front.base_port))
+        got = core.pop_event(block=True, timeout=2.0)
+    finally:
+        out.close()
+        front.stop()
+    assert got is not None and hashlib.sha256(got.channels[0]).digest() == hashlib.sha256(payload).digest()
+    assert core.counters["ingested"] == 12
+    ingested = tracer.totals().get("streamlb.receiver.Receiver.ingest_packet", {"calls": 0})
+    assert ingested["calls"] == 1
