@@ -175,9 +175,7 @@ class ControlServer(netutil.ServedOnThread, socketserver.ThreadingTCPServer):
             self._reschedule(int(request["instance_id"]))
             return {"session_id": session_id}
         if verb == "deregister":
-            session_id = int(request["session_id"])
-            self.cp.deregister_member(session_id)
-            self._reschedule(self.cp.session_instance[session_id])
+            self._reschedule(self.cp.deregister_member(int(request["session_id"])))
             return {}
         if verb == "report":
             self.cp.ingest_fill_report(

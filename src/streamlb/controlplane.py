@@ -8,8 +8,14 @@ in flight keep routing through the epochs that admitted them.  A join or
 a leave publishes its table at once, without a feedback round; an epoch
 that no forwarded tick has reached yet is superseded by the new one.
 
-State survives restarts through checksummed snapshots written with a
-temp-file-and-rename so a crash never leaves a torn file.
+Each fact has one home: a session, with its weight and last fill report,
+lives in its instance's ``members``, so a member that retires takes its
+feedback with it.  State survives restarts through checksummed snapshots
+written with a temp-file-and-rename so a crash never leaves a torn file.
+A snapshot holds each instance's live sessions with their last report,
+its retained epochs, counters and predictor window; its member, epoch
+and report records are the dataclasses' own fields, read one level deep.
+A file that does not fit them, like a corrupt one, starts the plane empty.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import statistics
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .dataplane import (
     DRAIN_DELAY_S,
@@ -221,10 +227,26 @@ def load_snapshot(path) -> dict:
         raise CorruptSnapshot(f"undecodable payload: {exc}") from None
 
 
-@dataclass
-class _SessionFeedback:
-    report: FillReport | None = None
-    received_ns: int = 0
+def _keys(cls, *skip) -> tuple:
+    return tuple(f.name for f in fields(cls) if f.name not in skip)
+
+
+# Snapshot records: each dataclass's own fields, minus those kept elsewhere
+# in the file (a member's report goes to its instance's feedback list).
+_INSTANCE_KEYS = _keys(LbInstance, "instance_id", "members")
+_MEMBER_KEYS = _keys(MemberSession, "report", "reported_at")
+_EPOCH_KEYS = _keys(Epoch)
+_REPORT_KEYS = _keys(FillReport, "session_id")
+
+
+def _record(obj, keys) -> dict:
+    """The named fields of a dataclass, one level deep."""
+    return {key: getattr(obj, key) for key in keys}
+
+
+def _build(cls, keys, record: dict, **given):
+    """``cls`` from a record's named keys; a missing key raises KeyError, others are ignored."""
+    return cls(**{key: record[key] for key in keys if key not in given}, **given)
 
 
 class ControlPlane:
@@ -235,9 +257,6 @@ class ControlPlane:
         self.snapshot_path = snapshot_path
         self.instances: dict = {}
         self.predictors: dict = {}
-        self.sync_rate: dict = {}
-        self.feedback: dict = {}  # session_id -> _SessionFeedback
-        self.session_instance: dict = {}
         self.next_session_id = 1
         self.epoch_listener = None  # callable(instance_id, epoch, max_forwarded_before)
         self._lock = threading.RLock()
@@ -277,12 +296,9 @@ class ControlPlane:
             inst = self._instance(instance_id)
             for member in list(inst.members.values()):
                 member.state = MemberState.RETIRED
-                self.feedback.pop(member.session_id, None)
-                self.session_instance.pop(member.session_id, None)
             inst.members.clear()
             del self.instances[instance_id]
             self.predictors.pop(instance_id, None)
-            self.sync_rate.pop(instance_id, None)
             log.info("freed instance %d", instance_id)
 
     def _instance(self, instance_id: int) -> LbInstance:
@@ -319,42 +335,39 @@ class ControlPlane:
                 weight=initial_weight,
                 registered_at=self.clock(),
             )
-            self.feedback[sid] = _SessionFeedback()
-            self.session_instance[sid] = instance_id
             log.info("instance %d registered session %d -> %s:%d x%d", instance_id, sid, dest_ip, base_port, port_count)
             return sid
 
-    def deregister_member(self, session_id: int):
+    def deregister_member(self, session_id: int) -> int:
+        """Start draining a session; returns its instance id."""
         with self._lock:
-            member = self._member(session_id)
+            iid, member = self._member(session_id)
             if member.state is MemberState.DRAINING:
                 raise AlreadyDraining(f"session {session_id}")
             member.state = MemberState.DRAINING
             member.draining_since = self.clock()
             log.info("session %d draining", session_id)
+            return iid
 
-    def _member(self, session_id: int) -> MemberSession:
-        iid = self.session_instance.get(session_id)
-        if iid is None or iid not in self.instances:
-            raise UnknownSession(session_id)
-        member = self.instances[iid].members.get(session_id)
-        if member is None or member.state is MemberState.RETIRED:
-            raise UnknownSession(session_id)
-        return member
+    def _member(self, session_id: int) -> tuple:
+        """``(instance_id, session)`` of a live session; raises UnknownSession."""
+        for iid, inst in self.instances.items():
+            member = inst.members.get(session_id)
+            if member is not None and member.state is not MemberState.RETIRED:
+                return iid, member
+        raise UnknownSession(session_id)
 
     # --- feedback and prediction ----------------------------------------------
 
     def ingest_fill_report(self, report: FillReport):
         with self._lock:
-            self._member(report.session_id)  # raises UnknownSession for gone members
-            fb = self.feedback.setdefault(report.session_id, _SessionFeedback())
-            fb.report = report
-            fb.received_ns = self.clock()
+            _, member = self._member(report.session_id)  # raises UnknownSession for gone members
+            member.report = report
+            member.reported_at = self.clock()
 
     def ingest_sync(self, instance_id: int, sync: SyncMessage):
         with self._lock:
             self._instance(instance_id)
-            self.sync_rate[instance_id] = sync.event_rate_hz
             self.predictors[instance_id].observe(
                 sync.source_id, sync.latest_tick, sync.wallclock_ns
             )
@@ -366,13 +379,12 @@ class ControlPlane:
 
     def _is_ready(self, member: MemberSession, now_ns: int) -> bool:
         stale_ns = int(STALE_AFTER_S * 1e9)
-        fb = self.feedback.get(member.session_id)
-        if fb is None or fb.report is None:
+        if member.report is None:
             # grace window: a fresh member owes no report yet
             return now_ns - member.registered_at <= stale_ns
-        if now_ns - fb.received_ns > stale_ns:
+        if now_ns - member.reported_at > stale_ns:
             return False
-        return fb.report.ready
+        return member.report.ready
 
     def update_weights(self, instance_id: int, now_ns: int | None = None) -> dict:
         """One multiplicative feedback round; returns weights this round."""
@@ -387,8 +399,7 @@ class ControlPlane:
                 if not self._is_ready(member, now):
                     round_weights[sid] = 0.0
                     continue
-                fb = self.feedback.get(sid)
-                signal = fb.report.control_signal if fb and fb.report else 0.0
+                signal = member.report.control_signal if member.report else 0.0
                 member.weight = max(
                     WEIGHT_MIN, min(WEIGHT_MAX, member.weight * (1.0 + WEIGHT_GAIN * signal))
                 )
@@ -469,9 +480,8 @@ class ControlPlane:
         try:
             boundary = self.predictors[iid].predict(now + int(GUARD_S * 1e9))
         except NoSyncData:
-            rate = self.sync_rate.get(iid, 0)
-            boundary = round(rate * GUARD_S)
-            log.warning("instance %d: no sync data, degraded boundary estimate %d", iid, boundary)
+            log.warning("instance %d: no sync data, boundary from the floors alone", iid)
+            boundary = 0
         if inst.epochs:
             boundary = max(boundary, inst.epochs[-1].boundary_tick + 1)
         if inst.max_forwarded_tick is not None:
@@ -500,129 +510,78 @@ class ControlPlane:
         instances = {}
         for iid, inst in sorted(self.instances.items()):
             counters = inst.counters()  # one consistent read under the instance lock
+            del counters["dropped"]  # the sum of dropped_by_reason
+            counters["forwarded_by_member"] = {str(k): v for k, v in counters["forwarded_by_member"].items()}
+            predictor = self.predictors[iid]
+            members = [m for _, m in sorted(inst.members.items())]
             instances[str(iid)] = {
-                "listen": list(inst.listen),
-                "slot_count": inst.slot_count,
-                "drain_delay_s": inst.drain_delay_s,
-                "epoch_retain": inst.epoch_retain,
-                "next_epoch_id": inst.next_epoch_id,
-                "members": [
-                    {
-                        "session_id": m.session_id,
-                        "dest_ip": m.dest_ip,
-                        "base_port": m.base_port,
-                        "port_count": m.port_count,
-                        "state": m.state.value,
-                        "draining_since": m.draining_since,
-                        "weight": m.weight,
-                        "registered_at": m.registered_at,
-                    }
-                    for _, m in sorted(inst.members.items())
-                ],
-                "epochs": [
-                    {"epoch_id": e.epoch_id, "boundary_tick": e.boundary_tick, "table": list(e.table)}
-                    for e in inst.epochs
-                ],
-                "counters": {
-                    "received": counters["received"],
-                    "forwarded": counters["forwarded"],
-                    "forwarded_by_member": {str(k): v for k, v in counters["forwarded_by_member"].items()},
-                    "dropped_by_reason": counters["dropped_by_reason"],
-                    "max_forwarded_tick": counters["max_forwarded_tick"],
-                },
+                **_record(inst, _INSTANCE_KEYS),
+                "members": [{**_record(m, _MEMBER_KEYS), "state": m.state.value} for m in members],
+                "epochs": [_record(e, _EPOCH_KEYS) for e in inst.epochs],
+                "counters": counters,
                 "predictor": {
-                    "samples": [list(s) for s in self.predictors[iid].samples],
-                    "last_by_source": {str(k): v for k, v in sorted(self.predictors[iid].last_by_source.items())},
-                    "non_monotonic": self.predictors[iid].non_monotonic_count,
+                    "samples": list(predictor.samples),
+                    "last_by_source": {str(k): v for k, v in sorted(predictor.last_by_source.items())},
+                    "non_monotonic": predictor.non_monotonic_count,
                 },
-                "sync_rate": self.sync_rate.get(iid, 0),
                 "feedback": [
-                    [
-                        sid,
-                        {
-                            "queue_fill": fb.report.queue_fill,
-                            "control_signal": fb.report.control_signal,
-                            "ready": fb.report.ready,
-                            "wallclock_ns": fb.report.wallclock_ns,
-                        },
-                        fb.received_ns,
-                    ]
-                    for sid, fb in sorted(self.feedback.items())
-                    if fb.report is not None and self.session_instance.get(sid) == iid
+                    [m.session_id, _record(m.report, _REPORT_KEYS), m.reported_at]
+                    for m in members
+                    if m.report is not None
                 ],
             }
         return {"next_session_id": self.next_session_id, "instances": instances}
 
     @classmethod
     def restore_state(cls, path, clock=time.time_ns, snapshot_path=None) -> "ControlPlane":
-        """Rebuild from a snapshot; missing file or corruption start empty."""
-        cp = cls(clock=clock, snapshot_path=snapshot_path if snapshot_path is not None else path)
+        """Rebuild from a snapshot; a missing, corrupt or misfitting file starts empty."""
+        snapshot_path = snapshot_path if snapshot_path is not None else path
+        cp = cls(clock=clock, snapshot_path=snapshot_path)
         try:
-            state = load_snapshot(path)
+            cp._load(load_snapshot(path))
         except FileNotFoundError:
             log.info("no snapshot at %s, starting empty", path)
             return cp
         except CorruptSnapshot as exc:
             log.error("SNAPSHOT CORRUPT at %s (%s); starting empty", path, exc)
-            return cp
-        cp._load(state)
+            return cls(clock=clock, snapshot_path=snapshot_path)  # nothing of a partial load
         log.info("restored %d instance(s) from %s", len(cp.instances), path)
         return cp
 
     def _load(self, state: dict):
-        self.next_session_id = state["next_session_id"]
-        for iid_str, idata in state["instances"].items():
-            iid = int(iid_str)
-            inst = LbInstance(
-                instance_id=iid,
-                listen=tuple(idata["listen"]),
-                slot_count=idata["slot_count"],
-                drain_delay_s=idata["drain_delay_s"],
-                epoch_retain=idata["epoch_retain"],
-            )
-            inst.next_epoch_id = idata["next_epoch_id"]
-            for mdata in idata["members"]:
-                member = MemberSession(
-                    session_id=mdata["session_id"],
-                    dest_ip=mdata["dest_ip"],
-                    base_port=mdata["base_port"],
-                    port_count=mdata["port_count"],
-                    state=MemberState(mdata["state"]),
-                    draining_since=mdata["draining_since"],
-                    weight=mdata["weight"],
-                    registered_at=mdata["registered_at"],
+        """Fill this plane from a snapshot payload; raises CorruptSnapshot if it does not fit."""
+        try:
+            self.next_session_id = state["next_session_id"]
+            for iid_str, idata in state["instances"].items():
+                iid = int(iid_str)
+                inst = _build(LbInstance, _INSTANCE_KEYS, idata, instance_id=iid, listen=tuple(idata["listen"]))
+                for mdata in idata["members"]:
+                    member = _build(MemberSession, _MEMBER_KEYS, mdata, state=MemberState(mdata["state"]))
+                    inst.members[member.session_id] = member
+                for sid, rdata, reported_at in idata["feedback"]:
+                    member = inst.members.get(sid)
+                    if member is not None:  # files from before reports lived on the session kept retired ones
+                        member.report = _build(FillReport, _REPORT_KEYS, rdata, session_id=sid)
+                        member.reported_at = reported_at
+                inst._epochs = tuple(
+                    _build(Epoch, _EPOCH_KEYS, e, table=tuple(e["table"])) for e in idata["epochs"]
                 )
-                inst.members[member.session_id] = member
-                self.session_instance[member.session_id] = iid
-            epochs = tuple(
-                Epoch(
-                    epoch_id=e["epoch_id"],
-                    boundary_tick=e["boundary_tick"],
-                    table=tuple(e["table"]),
-                )
-                for e in idata["epochs"]
-            )
-            inst._epochs = epochs
-            counters = idata["counters"]
-            inst.received_total = counters["received"]
-            inst.forwarded_total = counters["forwarded"]
-            inst.forwarded_by_member = {int(k): v for k, v in counters["forwarded_by_member"].items()}
-            inst.dropped_by_reason = {
-                DropReason(k): v for k, v in counters["dropped_by_reason"].items()
-            }
-            inst.max_forwarded_tick = counters["max_forwarded_tick"]
-            self.instances[iid] = inst
-            predictor = TickPredictor()
-            for t, tick in idata["predictor"]["samples"]:
-                predictor.samples.append((t, tick))
-            predictor.last_by_source = {int(k): v for k, v in idata["predictor"]["last_by_source"].items()}
-            predictor.non_monotonic_count = idata["predictor"]["non_monotonic"]
-            self.predictors[iid] = predictor
-            self.sync_rate[iid] = idata["sync_rate"]
-            for sid, rdata, received_ns in idata["feedback"]:
-                self.feedback[sid] = _SessionFeedback(
-                    report=FillReport(session_id=sid, **rdata), received_ns=received_ns
-                )
+                counters = idata["counters"]
+                inst.received_total = counters["received"]
+                inst.forwarded_total = counters["forwarded"]
+                inst.forwarded_by_member = {int(k): v for k, v in counters["forwarded_by_member"].items()}
+                inst.dropped_by_reason = {
+                    DropReason(k): v for k, v in counters["dropped_by_reason"].items()
+                }
+                inst.max_forwarded_tick = counters["max_forwarded_tick"]
+                predictor = TickPredictor()
+                predictor.samples.extend((t, tick) for t, tick in idata["predictor"]["samples"])
+                predictor.last_by_source = {int(k): v for k, v in idata["predictor"]["last_by_source"].items()}
+                predictor.non_monotonic_count = idata["predictor"]["non_monotonic"]
+                self.instances[iid] = inst
+                self.predictors[iid] = predictor
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise CorruptSnapshot(f"payload does not fit the schema: {exc!r}") from None
 
     # --- introspection -----------------------------------------------------------
 
@@ -644,7 +603,6 @@ class ControlPlane:
                             slots[sid] = slots.get(sid, 0) + 1
                 members = {}
                 for sid, m in sorted(inst.members.items()):
-                    fb = self.feedback.get(sid)
                     members[sid] = {
                         "dest_ip": m.dest_ip,
                         "base_port": m.base_port,
@@ -652,8 +610,8 @@ class ControlPlane:
                         "state": m.state.value,
                         "weight": m.weight,
                         "slots": slots.get(sid, 0),
-                        "queue_fill": fb.report.queue_fill if fb and fb.report else None,
-                        "ready": fb.report.ready if fb and fb.report else None,
+                        "queue_fill": m.report.queue_fill if m.report else None,
+                        "ready": m.report.ready if m.report else None,
                     }
                 reads = inst.reads_total  # read first: never above counters' received
                 counters = inst.counters()

@@ -29,9 +29,13 @@ import logging
 import socket
 import threading
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from . import netutil
 from .wire import LB_HEADER_SIZE, LB_MAGIC, WIRE_VERSION, unpack_lb_header
+
+if TYPE_CHECKING:
+    from .controlplane import FillReport
 
 __all__ = [
     "SLOT_COUNT",
@@ -75,7 +79,7 @@ class MemberState(enum.Enum):
 
 @dataclass
 class MemberSession:
-    """A registered compute node: coordinates, port range, lifecycle."""
+    """A registered compute node: coordinates, port range, lifecycle, feedback."""
 
     session_id: int
     dest_ip: str
@@ -85,6 +89,8 @@ class MemberSession:
     draining_since: int | None = None  # ns, set on deregister
     weight: float = 1.0
     registered_at: int = 0  # ns
+    report: FillReport | None = None  # the last receiver feedback
+    reported_at: int = 0  # ns, when the control plane took it
 
 
 @dataclass(frozen=True)
@@ -107,7 +113,6 @@ class LbInstance:
     listen: tuple = ("0.0.0.0", 0)
     slot_count: int = SLOT_COUNT
     drain_delay_s: float = DRAIN_DELAY_S
-    epoch_retain: int = EPOCH_RETAIN
 
     members: dict = field(default_factory=dict)  # session_id -> MemberSession
     next_epoch_id: int = 1
@@ -243,8 +248,8 @@ class LbInstance:
             if fwd is not None and len(epochs) > 1 and epochs[-1].boundary_tick > fwd:
                 epochs = epochs[:-1]  # supersede the unreached epoch
             epochs += (epoch,)
-            if len(epochs) > self.epoch_retain:
-                epochs = epochs[len(epochs) - self.epoch_retain :]
+            if len(epochs) > EPOCH_RETAIN:
+                epochs = epochs[len(epochs) - EPOCH_RETAIN :]
             self._epochs = epochs
             self._retire_unreferenced()
             return epoch

@@ -282,9 +282,9 @@ def test_sync_listener_feeds_control_plane_and_stops_promptly():
         out.sendto(wire.encode_sync(wire.SyncMessage(1, 500, 100, time.time_ns())), sock.getsockname())
         out.close()
         deadline = time.monotonic() + 2.0
-        while cp.sync_rate.get(iid) != 100 and time.monotonic() < deadline:
+        while cp.predictors[iid].last_by_source.get(1) != 500 and time.monotonic() < deadline:
             time.sleep(0.02)
-        assert cp.sync_rate.get(iid) == 100
+        assert cp.predictors[iid].last_by_source.get(1) == 500
         time.sleep(0.3)  # parked in recv with nothing to read
     finally:
         t0 = time.monotonic()

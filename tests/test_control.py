@@ -56,7 +56,7 @@ def test_full_lifecycle_over_the_wire(fabric):
     assert cp.instances[iid].members[sid].weight == 2.0
 
     client.report(FillReport(session_id=sid, queue_fill=0.25, control_signal=0.1, ready=True))
-    assert cp.feedback[sid].report.queue_fill == 0.25
+    assert cp.instances[iid].members[sid].report.queue_fill == 0.25
 
     info = client.query(iid)
     assert info[str(iid)]["members"][str(sid)]["dest_ip"] == "10.1.1.1"

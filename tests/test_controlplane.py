@@ -1,8 +1,12 @@
 """Control plane: capacity, membership, feedback, prediction, scheduling."""
 
+import hashlib
+import json
 import logging
 import math
+import os
 import random
+import shutil
 import sys
 import threading
 import time
@@ -36,7 +40,7 @@ from streamlb.controlplane import (
     apportion_slots,
     load_snapshot,
 )
-from streamlb.dataplane import SLOT_COUNT, DropReason, MemberState
+from streamlb.dataplane import DRAIN_DELAY_S, SLOT_COUNT, DropReason, MemberState
 from streamlb.wire import SyncMessage
 
 S = 1_000_000_000
@@ -676,19 +680,21 @@ def test_snapshot_roundtrip_reproduces_state(tmp_path):
     assert (tmp_path / "again.bin").read_bytes() == (tmp_path / "state.bin").read_bytes()
 
 
+def write_snapshot(path, state):
+    """A snapshot file with a valid checksum over any JSON payload."""
+    payload = json.dumps(state, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(cp_mod.SNAPSHOT_MAGIC + hashlib.sha256(payload).digest() + payload)
+
+
 def test_restore_accepts_snapshot_with_admitted_epoch(tmp_path):
     # Snapshots written before the unread admitted_epoch field was dropped
     # still carry it per member; restore ignores it.
-    import hashlib
-    import json
-
     cp, clock, iid = populated_cp(tmp_path)
     state = cp._dump()
     for member in state["instances"][str(iid)]["members"]:
         member["admitted_epoch"] = 1
-    payload = json.dumps(state, sort_keys=True, separators=(",", ":")).encode()
     path = tmp_path / "older.bin"
-    path.write_bytes(cp_mod.SNAPSHOT_MAGIC + hashlib.sha256(payload).digest() + payload)
+    write_snapshot(path, state)
     restored = ControlPlane.restore_state(str(path), clock=clock)
     assert sorted(restored.instances[iid].members) == sorted(cp.instances[iid].members)
     assert restored._dump() == cp._dump()
@@ -778,6 +784,77 @@ def test_snapshot_deterministic_for_identical_logs(tmp_path):
     p2 = build(str(tmp_path / "two.bin"))
     with open(p1, "rb") as one, open(p2, "rb") as two:
         assert one.read() == two.read()
+
+
+def test_restores_a_snapshot_from_before_records_came_from_the_dataclasses(tmp_path):
+    # Written by make_compat_snapshot.py with the older code: its layout
+    # still carries sync_rate, epoch_retain and the report of a retired
+    # session, all of which restore ignores.
+    data = os.path.join(os.path.dirname(__file__), "data")
+    with open(os.path.join(data, "compat_expect.json")) as fh:
+        expect = json.load(fh)
+    path = shutil.copy(os.path.join(data, "compat_snapshot.bin"), tmp_path)
+    cp = ControlPlane.restore_state(path, clock=FakeClock(expect["clock_ns"]))
+    assert "sync_rate" in load_snapshot(path)["instances"]["0"]
+    query = json.loads(json.dumps(cp.query()))
+    for q in (*query.values(), *expect["query"].values()):
+        q.pop("reads")  # socket reads of one process: never persisted
+    assert query == expect["query"]
+    emitted = [[iid, e.epoch_id, e.boundary_tick, list(e.table)] for iid, e in cp.control_tick()]
+    assert emitted == expect["next_control_tick"]
+
+
+def _without_slot_count(tmp_path):
+    state = populated_cp(tmp_path)[0]._dump()
+    for idata in state["instances"].values():
+        del idata["slot_count"]
+    return state
+
+
+@pytest.mark.parametrize(
+    "make_state",
+    [lambda _: {"instances": {}}, lambda _: [1, 2], _without_slot_count],
+    ids=["no_next_session_id", "a_list", "instance_without_slot_count"],
+)
+def test_snapshot_that_does_not_fit_the_schema_starts_empty(tmp_path, caplog, make_state):
+    path = tmp_path / "misfit.bin"
+    write_snapshot(path, make_state(tmp_path))
+    with caplog.at_level("ERROR"):
+        restored = ControlPlane.restore_state(str(path))
+    assert restored.instances == {} and restored.predictors == {}
+    assert restored.next_session_id == 1
+    assert restored.snapshot_path == str(path)
+    assert any("SNAPSHOT CORRUPT" in r.message for r in caplog.records)
+
+
+def test_retired_sessions_leave_no_state_in_the_plane_or_its_snapshot(tmp_path):
+    cp, clock = make_cp()
+    iid = cp.reserve_instance()
+    sids = [full_member(cp, iid, 1, port=18000 + i) for i in range(50)]
+    for sid in sids:
+        cp.ingest_fill_report(FillReport(sid, 0.5, 0.0, True))
+    cp.control_tick()
+    for sid in sids[1:]:
+        clock.advance(0.01)
+        cp.deregister_member(sid)
+        cp.reschedule(iid)
+    for _ in range(int(DRAIN_DELAY_S) + 2):
+        clock.advance(1.0)
+        cp.ingest_fill_report(FillReport(sids[0], 0.5, 0.0, True))
+        cp.control_tick()
+    inst = cp.instances[iid]
+    live = set(inst.members)
+    retired = set(sids) - live
+    assert live == {sids[0], *sids[-3:]}  # the last three leavers are still in retained epochs
+    for obj in (cp, inst):
+        for name, value in vars(obj).items():
+            if isinstance(value, dict):
+                assert not retired & set(value), f"{type(obj).__name__}.{name} keeps retired sessions"
+    path = cp.persist_state(str(tmp_path / "state.bin"))
+    state = load_snapshot(path)["instances"][str(iid)]
+    assert {m["session_id"] for m in state["members"]} == live
+    assert {sid for sid, _report, _at in state["feedback"]} == live
+    assert ControlPlane.restore_state(path, clock=clock)._dump() == cp._dump()
 
 
 def test_snapshot_counters_are_one_consistent_read():
