@@ -1,58 +1,43 @@
 """The balancer that ``lb-run`` deploys, as one object.
 
 Around one ControlPlane it binds what an ``lb-run`` config names: per
-instance a UDP data plane and a sync listener, plus the control and
-metrics servers.  ``lb-run`` and the loopback harness both build it.
+instance a UDP data plane and a sync socket, which the control pass
+reads, plus the control and metrics servers.  ``lb-run`` and the
+loopback harness both build it.
 """
 
 from __future__ import annotations
 
 import logging
+import select
 import socket
 import threading
+import time
 
 from . import controlplane, netutil, wire
 from .control import ControlServer
 from .dataplane import UdpDataPlane
 from .metrics import MetricsServer
 
-__all__ = ["CONTROL_INTERVAL_S", "Balancer", "sync_listener"]
+__all__ = ["CONTROL_INTERVAL_S", "Balancer"]
 
 log = logging.getLogger(__name__)
 
 CONTROL_INTERVAL_S = 1.0
 
 
-def sync_listener(sock: socket.socket, cp, instance_id: int, stop: threading.Event):
-    """Feed sync datagrams into the control plane until told to stop."""
-    for datagram in netutil.recv_datagrams(sock, stop, bufsize=4096):
-        if datagram is None:
-            continue
-        try:
-            msg = wire.decode_sync(datagram)
-        except wire.WireError as exc:
-            log.debug("instance %d: discarding sync datagram (%s)", instance_id, exc)
-            continue
-        try:
-            cp.ingest_sync(instance_id, msg)
-        except controlplane.NonMonotonicTick as exc:
-            log.warning("instance %d: sync rejected (%s)", instance_id, exc)
-        except controlplane.UnknownInstance:
-            break
-
-
 class Balancer:
     """Binds every socket of a config at construction; a failed bind closes the rest.
 
-    ``run`` is the 1 Hz control pass; setting ``stopping`` ends it and the
-    sync listeners.  ``close`` releases everything, also after a partial
+    ``run`` is the 1 Hz control pass; setting ``stopping`` ends it within
+    one IDLE_TICK_S.  ``close`` releases everything, also after a partial
     start, within about one IDLE_TICK_S.
     """
 
     def __init__(self, cp: controlplane.ControlPlane, config: dict):
         self.cp = cp
         self.stopping = threading.Event()
-        self.dataplanes, self._sync_socks, self._threads = [], [], []
+        self.dataplanes, self._sync_socks = [], []
         self.control = self.metrics = None
         try:
             for spec in config["instances"]:
@@ -75,9 +60,6 @@ class Balancer:
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._sync_socks.append(sock)
         sock.bind(netutil.parse_address(spec["sync_listen"]))
-        self._threads.append(threading.Thread(
-            target=sync_listener, args=(sock, self.cp, iid, self.stopping), name=f"sync-{iid}", daemon=True
-        ))
 
     def endpoints(self) -> dict:
         """Every bound address, as lb-run's ready line prints it."""
@@ -88,27 +70,52 @@ class Balancer:
         return {"control": list(self.control.address), "metrics": list(self.metrics.address), "instances": instances}
 
     def start(self):
-        for part in (self.control, self.metrics, *self.dataplanes, *self._threads):
+        for part in (self.control, self.metrics, *self.dataplanes):
             part.start()
 
     def run(self):
-        while not self.stopping.wait(CONTROL_INTERVAL_S):
+        """Pass CONTROL_INTERVAL_S after the last pass ends; in between, read syncs (each waits one pass at most)."""
+        poller, sources = select.poll(), {}  # fd -> (socket, instance id)
+        for dp, sock in zip(self.dataplanes, self._sync_socks):
+            sock.setblocking(False)
+            poller.register(sock, select.POLLIN)
+            sources[sock.fileno()] = (sock, dp.instance.instance_id)
+        next_pass = time.monotonic() + CONTROL_INTERVAL_S
+        while not self.stopping.is_set():
+            wait = next_pass - time.monotonic()
+            if wait > 0:
+                for fd, _mask in poller.poll(min(netutil.IDLE_TICK_S, wait) * 1e3):
+                    if not self._read_sync(*sources[fd]):
+                        poller.unregister(fd)
+                continue
             try:
                 self.cp.control_tick()
             except Exception:
                 log.exception("control tick failed")
+            next_pass = time.monotonic() + CONTROL_INTERVAL_S
+
+    def _read_sync(self, sock: socket.socket, instance_id: int) -> bool:
+        """Feed one datagram to the control plane; False once the socket is done."""
+        try:
+            self.cp.ingest_sync(instance_id, wire.decode_sync(sock.recv(4096)))
+        except BlockingIOError:  # ready, yet nothing to read
+            pass
+        except (OSError, controlplane.UnknownInstance):  # closed under us, or the instance is gone
+            return False
+        except wire.WireError as exc:
+            log.debug("instance %d: discarding sync datagram (%s)", instance_id, exc)
+        except controlplane.NonMonotonicTick as exc:
+            log.warning("instance %d: sync rejected (%s)", instance_id, exc)
+        return True
 
     def close(self):
         """Signal every part to stop, then join them: the exit waits one idle tick, not one per part."""
-        self.stopping.set()  # the control pass and the sync listeners
+        self.stopping.set()  # the control pass
         servers = [s for s in (self.control, self.metrics) if s is not None]
         for part in (*self.dataplanes, *servers):
             part.request_stop()
         for dp in self.dataplanes:
             dp.stop()
-        for t in self._threads:
-            if t.is_alive():
-                t.join(timeout=2.0)
         for sock in self._sync_socks:
             sock.close()
         for server in servers:

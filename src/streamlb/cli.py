@@ -224,6 +224,9 @@ def main_recv(argv=None) -> int:
         consume, close_sink = _make_sink(args.sink)
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))
+    except OSError as exc:
+        print(f"lb-recv: cannot open sink {args.sink}: {exc}", file=sys.stderr)
+        return 2
 
     pid = receiver.PidController(
         kp=args.kp, ki=args.ki, kd=args.kd, setpoint=args.setpoint

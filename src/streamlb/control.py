@@ -89,6 +89,8 @@ class _Handler(socketserver.StreamRequestHandler):
             self._serve()
         except TimeoutError:
             log.info("control client %s:%d idle for %.0f s; closing", *self.client_address, READ_TIMEOUT_S)
+        except ConnectionError as exc:
+            log.info("control client %s:%d dropped the connection (%s)", *self.client_address, exc)
 
     def _serve(self):
         while True:

@@ -331,10 +331,9 @@ class UdpDataPlane:
         self._thread.start()
 
     def _run(self):
-        # The loop is inline rather than a generator like
-        # netutil.recv_datagrams, and a lone datagram goes straight to
-        # sendto: on a stream of lone datagrams each call level saved
-        # costs about as much as recvmsg costs over recv.
+        # The loop is inline, and a lone datagram goes straight to sendto:
+        # on a stream of lone datagrams each call level saved costs about
+        # as much as recvmsg costs over recv.
         route = self.instance.forward_packet
         sendto = self._out.sendto
         send = netutil.SegmentSender(self._out).send

@@ -23,7 +23,6 @@ __all__ = [
     "SegmentSender",
     "request_buffer",
     "parse_address",
-    "recv_datagrams",
     "arm_idle_tick",
     "enable_gro",
     "gro_segment_size",
@@ -96,25 +95,6 @@ def arm_idle_tick(sock: socket.socket):
     sock.setsockopt(
         socket.SOL_SOCKET, socket.SO_RCVTIMEO, struct.pack("@ll", usec // 1_000_000, usec % 1_000_000)
     )
-
-
-def recv_datagrams(sock: socket.socket, stop, bufsize: int = 65535):
-    """Yield each datagram from ``sock`` until ``stop`` is set or it closes.
-
-    Each datagram costs exactly one ``recvfrom``.  When the kernel timeout
-    expires the loop yields ``None`` (the idle tick, for housekeeping) and
-    checks ``stop``, which therefore takes effect within IDLE_TICK_S.
-    """
-    arm_idle_tick(sock)
-    recv = sock.recv
-    while not stop.is_set():
-        try:
-            datagram = recv(bufsize)
-        except BlockingIOError:  # SO_RCVTIMEO expired with nothing queued
-            datagram = None
-        except OSError:  # closed under us
-            return
-        yield datagram
 
 
 def enable_gro(sock: socket.socket):

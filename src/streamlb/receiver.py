@@ -24,6 +24,9 @@ Every ingested packet lands in exactly one of four counters (applied,
 duplicate, stale, malformed), which keeps accounting losslessly
 reconcilable against sender and balancer counters.
 
+One thread serves every port of a ``UdpReceiver``, so the core takes no
+lock.
+
 The sockets read with ``UDP_GRO`` set, so a run of datagrams that the
 balancer wrote as one GSO write arrives in one read, cut into segments
 of the size its control message gives; a read without one is one
@@ -51,6 +54,7 @@ import heapq
 import logging
 import os
 import queue
+import select
 import socket
 import threading
 import time
@@ -189,10 +193,10 @@ class _BoundedQueue:
 
     Built on ``queue.SimpleQueue``, so a push or a pop is one C call and a
     blocked consumer waits on a C-level lock.  One thread pushes (the
-    ingest side holds the receiver's lock); any thread may pop.  A pop
-    racing an overflowing push can make that push evict the next-oldest
-    event instead of the one just popped; every event still leaves
-    exactly once, popped or evicted.
+    ingest loop); any thread may pop.  A pop racing an overflowing push
+    can make that push evict the next-oldest event instead of the one
+    just popped; every event still leaves exactly once, popped or
+    evicted.
     """
 
     def __init__(self, capacity: int):
@@ -475,7 +479,7 @@ class Receiver:
 
 
 class UdpReceiver:
-    """Socket front end: one port per channel group, shared Receiver.
+    """Socket front end: one port per channel group, all read by one thread.
 
     The ports are consecutive, because the balancer addresses channel c
     at base_port + c mod port_count.  With base_port 0 the first port is
@@ -494,8 +498,7 @@ class UdpReceiver:
             self.socks = self._bind_ephemeral_range(listen_ip, port_count)
         self.base_port = self.socks[0].getsockname()[1]
         self._stop = threading.Event()
-        self._threads = []
-        self._lock = threading.Lock()  # one ingest at a time into the core
+        self._thread = threading.Thread(target=self._ingest_loop, name="lb-recv-ingest", daemon=True)
 
     @staticmethod
     def _bind_range(listen_ip: str, base_port: int, port_count: int) -> list:
@@ -534,35 +537,38 @@ class UdpReceiver:
         return [s.getsockname()[1] for s in self.socks]
 
     def start(self):
-        for i, s in enumerate(self.socks):
-            t = threading.Thread(target=self._ingest_loop, args=(s, i == 0), daemon=True)
-            t.start()
-            self._threads.append(t)
+        self._thread.start()
 
-    def _ingest_loop(self, sock, housekeeping: bool):
-        """Ingest until stopped; the first port's loop also expires stuck ticks."""
-        # The loop is inline rather than a generator like
-        # netutil.recv_datagrams: on a stream of lone datagrams the call
-        # level saved wins back some of what recvmsg costs over recv.
-        core, lock, clock, stop = self.core, self._lock, time.time_ns, self._stop
+    def _ingest_loop(self):
+        """Until stopped, read once from each ready port per wake; expire stuck ticks on schedule."""
+        # The loop is inline: on a stream of lone datagrams each call level
+        # saved wins back some of what the poll and recvmsg cost over recv.
+        core, clock, stop = self.core, time.time_ns, self._stop
         ingest, queue = core.ingest_packet, core.queue
-        recvmsg, ancbufsize, segment_size = sock.recvmsg, netutil.GRO_CMSG_SPACE, netutil.gro_segment_size
+        ancbufsize, segment_size = netutil.GRO_CMSG_SPACE, netutil.gro_segment_size
+        poller, reads = select.poll(), {}  # fd -> that socket's recvmsg
+        for sock in self.socks:
+            sock.setblocking(False)
+            poller.register(sock, select.POLLIN)
+            reads[sock.fileno()] = sock.recvmsg
+        poll, tick_ms = poller.poll, netutil.IDLE_TICK_S * 1e3
         interval_ns = int(EXPIRE_INTERVAL_S * 1e9)
         next_expire = clock() + interval_ns
-        netutil.arm_idle_tick(sock)
         while not stop.is_set():
-            try:
-                data, ancdata, _flags, _addr = recvmsg(65535, ancbufsize)
-            except BlockingIOError:  # the idle tick: housekeeping only
-                data = None
-            except OSError:  # closed under us
-                return
+            ready = poll(tick_ms)
             now = clock()
-            with lock:
-                completed = data is not None and ingest(data, now, segment_size(ancdata) if ancdata else 0)
-                if housekeeping and now >= next_expire:
-                    core.expire(now)
-                    next_expire = now + interval_ns
+            completed = None
+            for fd, _mask in ready:
+                try:
+                    data, ancdata, _flags, _addr = reads[fd](65535, ancbufsize)
+                except BlockingIOError:  # ready, yet nothing to read
+                    continue
+                except OSError:  # closed under us
+                    return
+                completed = ingest(data, now, segment_size(ancdata) if ancdata else 0) or completed
+            if now >= next_expire:
+                core.expire(now)
+                next_expire = now + interval_ns
             if completed and len(queue) * 2 > queue.capacity:
                 # A burst drains faster than one interpreter switch interval;
                 # on a shared CPU the consumer would not run before the queue
@@ -571,7 +577,7 @@ class UdpReceiver:
 
     def stop(self):
         self._stop.set()
-        for t in self._threads:
-            t.join(timeout=2.0)
+        if self._thread.is_alive():
+            self._thread.join(timeout=2.0)
         for s in self.socks:
             s.close()

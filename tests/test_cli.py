@@ -13,7 +13,7 @@ import time
 import pytest
 
 import streamlb
-from streamlb import balancer, cli, controlplane, metrics, receiver, sender, wire
+from streamlb import balancer, cli, controlplane, metrics, netutil, receiver, sender, wire
 from streamlb.control import ControlClient
 from streamlb.sender import event_digest, synth_events
 
@@ -268,32 +268,11 @@ def test_recv_rejects_bad_port_count(capsys):
     assert "power of two" in capsys.readouterr().err
 
 
-def test_sync_listener_feeds_control_plane_and_stops_promptly():
-    cp = controlplane.ControlPlane()
-    iid = cp.reserve_instance()
-    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-    sock.bind(("127.0.0.1", 0))
-    stop = threading.Event()
-    listener = threading.Thread(target=balancer.sync_listener, args=(sock, cp, iid, stop), daemon=True)
-    listener.start()
-    try:
-        out = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        out.sendto(b"not a sync message", sock.getsockname())
-        out.sendto(wire.encode_sync(wire.SyncMessage(1, 500, 100, time.time_ns())), sock.getsockname())
-        out.close()
-        deadline = time.monotonic() + 2.0
-        while cp.predictors[iid].last_by_source.get(1) != 500 and time.monotonic() < deadline:
-            time.sleep(0.02)
-        assert cp.predictors[iid].last_by_source.get(1) == 500
-        time.sleep(0.3)  # parked in recv with nothing to read
-    finally:
-        t0 = time.monotonic()
-        stop.set()
-        listener.join(timeout=2.0)
-        elapsed = time.monotonic() - t0
-        sock.close()
-    assert not listener.is_alive()
-    assert elapsed < 1.0
+def test_recv_rejects_a_sink_it_cannot_open(tmp_path, capsys):
+    path = tmp_path / "missing" / "events.bin"
+    rc = cli.main_recv(["--cp", "127.0.0.1:1", "--channels", "1", "--sink", f"file:{path}"])
+    assert rc == 2
+    assert "lb-recv: cannot open sink" in capsys.readouterr().err
 
 
 TWO_INSTANCES = {
@@ -305,9 +284,58 @@ TWO_INSTANCES = {
 }
 
 
+def test_balancer_run_feeds_each_instance_its_syncs_and_stops_promptly(monkeypatch):
+    monkeypatch.setattr(balancer, "CONTROL_INTERVAL_S", 0.2)
+    cp = controlplane.ControlPlane()
+    lb = balancer.Balancer(cp, TWO_INSTANCES)
+    syncs = {int(i): tuple(e["sync"]) for i, e in lb.endpoints()["instances"].items()}
+    passes = []
+    monkeypatch.setattr(cp, "control_tick", lambda: passes.append(time.monotonic()))
+    out = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+
+    def sync(iid, source, tick):
+        out.sendto(wire.encode_sync(wire.SyncMessage(source, tick, 100, time.time_ns())), syncs[iid])
+
+    def until(check):
+        deadline = time.monotonic() + 2.0
+        while not check() and time.monotonic() < deadline:
+            time.sleep(0.02)
+        return check()
+
+    t0 = time.monotonic()
+    runner = threading.Thread(target=lb.run, daemon=True)
+    runner.start()
+    try:
+        out.sendto(b"not a sync message", syncs[0])
+        sync(0, 1, 500)
+        sync(1, 2, 700)
+        assert until(lambda: cp.predictors[0].last_by_source == {1: 500})
+        assert until(lambda: cp.predictors[1].last_by_source == {2: 700})
+        cp.free_instance(0)
+        sync(0, 1, 600)  # unknown instance now: its socket leaves the poll
+        sync(1, 2, 800)
+        assert until(lambda: cp.predictors[1].last_by_source == {2: 800})
+        assert until(lambda: len(passes) >= 3)
+        time.sleep(0.3)  # parked in a poll with nothing to read
+    finally:
+        t1 = time.monotonic()
+        lb.stopping.set()
+        runner.join(timeout=2.0)
+        elapsed = time.monotonic() - t1
+        out.close()
+        lb.close()
+    assert not runner.is_alive()
+    assert elapsed < netutil.IDLE_TICK_S + 0.1
+    gaps = [b - a for a, b in zip([t0, *passes], passes)]
+    assert min(gaps) >= 0.2  # the first pass one interval after run starts, each next one after the last
+
+
 def test_balancer_close_waits_one_idle_tick_not_one_per_part():
     lb = balancer.Balancer(controlplane.ControlPlane(), TWO_INSTANCES)
+    before = set(threading.enumerate())
     lb.start()
+    # two data planes, the control server and the metrics server
+    assert len(set(threading.enumerate()) - before) == 4
     time.sleep(0.3)  # every loop is parked in a receive or a poll
     t0 = time.monotonic()
     lb.close()

@@ -260,6 +260,31 @@ def test_half_sent_frame_is_closed_after_the_read_timeout(fabric, monkeypatch):
         assert isinstance(fresh.reserve(), int)
 
 
+def _wait_for_connections(server, n):
+    deadline = time.monotonic() + 5.0
+    while server._connections != n:
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+
+
+def test_client_reset_mid_frame_is_logged_without_a_traceback(capfd):
+    server = ControlServer(ControlPlane(clock=lambda: 0), ("127.0.0.1", 0))
+    server.start()
+    try:
+        with ControlClient(server.address) as client:
+            iid = client.reserve()
+            raw = socket.create_connection(server.address, timeout=5.0)
+            raw.sendall(struct.pack(">I", 9) + b"{")  # length and 1 of 9 octets
+            _wait_for_connections(server, 2)
+            raw.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            raw.close()  # linger 0: a reset, not a clean close
+            _wait_for_connections(server, 1)
+            assert str(iid) in client.query()  # the server keeps serving
+    finally:
+        server.stop()
+    assert "Traceback" not in capfd.readouterr().err
+
+
 def test_connections_past_the_cap_are_closed_at_accept(fabric, monkeypatch):
     monkeypatch.setattr(control, "MAX_CONNECTIONS", 8)
     _, client = fabric  # holds one of the 8

@@ -446,8 +446,10 @@ def test_udp_receiver_ephemeral_ports_are_consecutive():
     # the balancer addresses channel c at base_port + c mod port_count
     core = make_receiver(channels=range(4))
     front = UdpReceiver(core, "127.0.0.1", base_port=0, port_count=4)
+    before = set(threading.enumerate())
     front.start()
     try:
+        assert len(set(threading.enumerate()) - before) == 1  # one loop serves every port
         assert front.ports == [front.base_port + i for i in range(4)]
         out = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         ev = Event(tick=3, channels={c: bytes([c]) * 10 for c in range(4)})
@@ -483,11 +485,11 @@ def test_udp_receiver_retries_a_taken_range(monkeypatch):
 def test_udp_receiver_stops_promptly_without_traffic():
     front = UdpReceiver(make_receiver(), "127.0.0.1", base_port=0, port_count=2)
     front.start()
-    time.sleep(0.3)  # every loop is parked in recv
+    time.sleep(0.3)  # the loop is parked in a poll
     t0 = time.monotonic()
     front.stop()
     assert time.monotonic() - t0 < 1.0
-    assert not any(t.is_alive() for t in front._threads)
+    assert not front._thread.is_alive()
 
 
 def test_udp_receiver_expires_stuck_ticks_while_idle():
