@@ -1,15 +1,18 @@
 """The balancer that ``lb-run`` deploys, as one object.
 
 Around one ControlPlane it binds what an ``lb-run`` config names: per
-instance a UDP data plane and a sync socket, which the control pass
-reads, plus the control and metrics servers.  ``lb-run`` and the
-loopback harness both build it.
+instance a UDP data plane and a sync socket, plus the control and
+metrics listeners.  The data planes forward on their own threads; one
+loop, ``run``, serves every other socket and the control pass.
+``lb-run`` and the loopback harness both build it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import logging
-import select
+import selectors
 import socket
 import threading
 import time
@@ -29,9 +32,9 @@ CONTROL_INTERVAL_S = 1.0
 class Balancer:
     """Binds every socket of a config at construction; a failed bind closes the rest.
 
-    ``run`` is the 1 Hz control pass; setting ``stopping`` ends it within
-    one IDLE_TICK_S.  ``close`` releases everything, also after a partial
-    start, within about one IDLE_TICK_S.
+    ``start`` starts the data-plane threads.  ``run`` serves everything
+    else from one selector; ``stop`` ends it at once.  ``close`` releases
+    everything, also after a partial start, within about one IDLE_TICK_S.
     """
 
     def __init__(self, cp: controlplane.ControlPlane, config: dict):
@@ -39,11 +42,15 @@ class Balancer:
         self.stopping = threading.Event()
         self.dataplanes, self._sync_socks = [], []
         self.control = self.metrics = None
+        self._selector = selectors.DefaultSelector()
+        self._wake, self._waker = socket.socketpair()  # stop writes one octet to end the wait
+        self._waker.setblocking(False)
+        self._selector.register(self._wake, selectors.EVENT_READ, lambda _events: None)
         try:
             for spec in config["instances"]:
                 self._add_instance(spec)
-            self.control = ControlServer(cp, netutil.parse_address(config["control"]))
-            self.metrics = MetricsServer(cp, netutil.parse_address(config["metrics"]))
+            self.control = ControlServer(cp, netutil.parse_address(config["control"]), self._selector)
+            self.metrics = MetricsServer(cp, netutil.parse_address(config["metrics"]), self._selector)
         except BaseException:
             self.close()
             raise
@@ -60,6 +67,8 @@ class Balancer:
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         self._sync_socks.append(sock)
         sock.bind(netutil.parse_address(spec["sync_listen"]))
+        sock.setblocking(False)
+        self._selector.register(sock, selectors.EVENT_READ, functools.partial(self._read_sync, sock, iid))
 
     def endpoints(self) -> dict:
         """Every bound address, as lb-run's ready line prints it."""
@@ -70,23 +79,18 @@ class Balancer:
         return {"control": list(self.control.address), "metrics": list(self.metrics.address), "instances": instances}
 
     def start(self):
-        for part in (self.control, self.metrics, *self.dataplanes):
-            part.start()
+        for dp in self.dataplanes:
+            dp.start()
 
     def run(self):
-        """Pass CONTROL_INTERVAL_S after the last pass ends; in between, read syncs (each waits one pass at most)."""
-        poller, sources = select.poll(), {}  # fd -> (socket, instance id)
-        for dp, sock in zip(self.dataplanes, self._sync_socks):
-            sock.setblocking(False)
-            poller.register(sock, select.POLLIN)
-            sources[sock.fileno()] = (sock, dp.instance.instance_id)
+        """Pass CONTROL_INTERVAL_S after the last pass ends; in between, serve syncs and requests (each waits a pass)."""
         next_pass = time.monotonic() + CONTROL_INTERVAL_S
         while not self.stopping.is_set():
-            wait = next_pass - time.monotonic()
-            if wait > 0:
-                for fd, _mask in poller.poll(min(netutil.IDLE_TICK_S, wait) * 1e3):
-                    if not self._read_sync(*sources[fd]):
-                        poller.unregister(fd)
+            now = time.monotonic()
+            if now < next_pass:
+                wait = min(next_pass - now, self.control.expire(now), self.metrics.expire(now))
+                for key, events in self._selector.select(wait):
+                    key.data(events)
                 continue
             try:
                 self.cp.control_tick()
@@ -94,29 +98,35 @@ class Balancer:
                 log.exception("control tick failed")
             next_pass = time.monotonic() + CONTROL_INTERVAL_S
 
-    def _read_sync(self, sock: socket.socket, instance_id: int) -> bool:
-        """Feed one datagram to the control plane; False once the socket is done."""
+    def stop(self):
+        """End ``run`` without waiting out its wait; safe from a signal handler or another thread."""
+        self.stopping.set()
+        with contextlib.suppress(OSError):  # a wake is already pending, or the balancer is closed
+            self._waker.send(b"\0")
+
+    def _read_sync(self, sock: socket.socket, instance_id: int, _events: int):
+        """Feed one datagram to the control plane; the socket leaves the loop once it is done."""
         try:
             self.cp.ingest_sync(instance_id, wire.decode_sync(sock.recv(4096)))
         except BlockingIOError:  # ready, yet nothing to read
             pass
         except (OSError, controlplane.UnknownInstance):  # closed under us, or the instance is gone
-            return False
+            self._selector.unregister(sock)
         except wire.WireError as exc:
             log.debug("instance %d: discarding sync datagram (%s)", instance_id, exc)
         except controlplane.NonMonotonicTick as exc:
             log.warning("instance %d: sync rejected (%s)", instance_id, exc)
-        return True
 
     def close(self):
-        """Signal every part to stop, then join them: the exit waits one idle tick, not one per part."""
-        self.stopping.set()  # the control pass
-        servers = [s for s in (self.control, self.metrics) if s is not None]
-        for part in (*self.dataplanes, *servers):
-            part.request_stop()
+        """Signal every data plane to stop, then join them: the exit waits one idle tick, not one per part."""
+        self.stop()
+        for dp in self.dataplanes:
+            dp.request_stop()
         for dp in self.dataplanes:
             dp.stop()
-        for sock in self._sync_socks:
+        for server in (self.control, self.metrics):
+            if server is not None:
+                server.close()
+        for sock in (*self._sync_socks, self._wake, self._waker):
             sock.close()
-        for server in servers:
-            server.stop()
+        self._selector.close()

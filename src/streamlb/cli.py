@@ -40,9 +40,9 @@ def _setup_logging():
     )
 
 
-def _install_stop_handlers(stop: threading.Event):
+def _install_stop_handlers(stop):  # stop() runs on SIGINT or SIGTERM
     for signum in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(signum, lambda *_: stop.set())
+        signal.signal(signum, lambda *_: stop())
 
 
 # --- lb-run ----------------------------------------------------------------
@@ -85,7 +85,7 @@ def main_run(argv=None) -> int:
         print(f"lb-run: startup failed: {exc}", file=sys.stderr)
         return 1
 
-    _install_stop_handlers(lb.stopping)
+    _install_stop_handlers(lb.stop)
     lb.start()
     # One ready line on stdout so wrappers can learn the bound ports.
     print(json.dumps(lb.endpoints()), flush=True)
@@ -257,7 +257,7 @@ def main_recv(argv=None) -> int:
     log.info("session %d on ports %s", session_id, front.ports)
 
     stop = threading.Event()
-    _install_stop_handlers(stop)
+    _install_stop_handlers(stop.set)
     flushed = threading.Event()  # set once ingest is over: drain the queue, then quit
 
     def consume_loop():

@@ -12,22 +12,24 @@ reserve, free, register, deregister, report, query.  A register or
 deregister publishes the new membership before it answers; an epoch
 that the traffic has not reached yet is superseded.
 
-A connection that sends nothing for READ_TIMEOUT_S is closed, and at
-most MAX_CONNECTIONS are served at once; later ones are closed on
-accept.
+``StreamServer`` serves this protocol and ``/metrics`` from one loop.  A
+connection without progress for READ_TIMEOUT_S (it sends nothing, or
+leaves its reply unread) is closed, and each listener keeps at most
+MAX_CONNECTIONS open; later ones are closed on accept.
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import json
 import logging
+import selectors
 import socket
-import socketserver
 import struct
-import threading
+import time
 
 from . import controlplane as cpmod
-from . import netutil
 from .controlplane import (
     AlreadyDraining,
     CapacityExhausted,
@@ -44,6 +46,7 @@ __all__ = [
     "MAX_CONNECTIONS",
     "ControlProtocolError",
     "FrameError",
+    "StreamServer",
     "ControlServer",
     "ControlClient",
 ]
@@ -51,7 +54,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 FRAME_MAX = 1 << 20
-READ_TIMEOUT_S = 30.0  # idle or half-sent frames; receivers report every second
+READ_TIMEOUT_S = 30.0  # no progress: idle, a half-sent frame or an unread reply; receivers report every second
 MAX_CONNECTIONS = 64
 _LEN = struct.Struct(">I")
 
@@ -73,74 +76,127 @@ class FrameError(ConnectionError):
     """The stream ended or desynchronized mid-frame."""
 
 
-def _write_frame(stream, obj: dict):
+def _frame(obj: dict) -> bytes:
     payload = json.dumps(obj, separators=(",", ":")).encode()
-    stream.write(_LEN.pack(len(payload)) + payload)
-    stream.flush()
+    return _LEN.pack(len(payload)) + payload
 
 
-class _Handler(socketserver.StreamRequestHandler):
-    def setup(self):
-        self.request.settimeout(READ_TIMEOUT_S)
-        super().setup()
+class _Connection:
+    """One accepted stream: its unparsed input, its unsent reply and when it last moved."""
 
-    def handle(self):
+    def __init__(self, server: StreamServer, sock: socket.socket, peer: tuple):
+        self.server, self.sock, self.peer = server, sock, peer[:2]
+        self.inbuf, self.outbuf, self.closing = bytearray(), memoryview(b""), False
+        self.progress = time.monotonic()
+
+    def serve(self, events: int):
+        """Read or send once, answering at most one request: connections take turns."""
         try:
-            self._serve()
-        except TimeoutError:
-            log.info("control client %s:%d idle for %.0f s; closing", *self.client_address, READ_TIMEOUT_S)
-        except ConnectionError as exc:
-            log.info("control client %s:%d dropped the connection (%s)", *self.client_address, exc)
+            if events & selectors.EVENT_READ:
+                data = self.sock.recv(1 << 16)
+                if not data:
+                    return self.close()  # a request cut short goes with it
+                self.inbuf += data
+                self.progress = time.monotonic()
+            elif self.outbuf:
+                self._send()
+            taken = None if self.outbuf else self.server.take(self.inbuf)  # one request in flight
+            if taken is not None:
+                reply, self.closing = taken
+                self.outbuf = memoryview(reply)
+                self._send()
+            if self.closing and not self.outbuf:
+                return self.close()
+            # after an answer, wait until writable: to send the rest, or to take a request already read
+            events = selectors.EVENT_WRITE if taken or self.outbuf else selectors.EVENT_READ
+            self.server.selector.modify(self.sock, events, self.serve)
+        except OSError as exc:
+            log.info("%s client %s:%d dropped the connection (%s)", type(self.server).__name__, *self.peer, exc)
+            self.close()
+        except Exception:
+            log.exception("%s client %s:%d: request failed; closing", type(self.server).__name__, *self.peer)
+            self.close()
 
-    def _serve(self):
-        while True:
-            head = self.rfile.read(4)
-            if len(head) < 4:
-                return  # clean close between frames
-            (length,) = _LEN.unpack(head)
-            if length > FRAME_MAX:
-                _write_frame(
-                    self.wfile,
-                    {"ok": False, "error": "BadRequest", "message": f"frame of {length} octets exceeds {FRAME_MAX}"},
-                )
-                return  # cannot resynchronize; drop the connection
-            body = self.rfile.read(length)
-            if len(body) < length:
-                return
-            _write_frame(self.wfile, self.server.dispatch(body))
+    def _send(self):
+        with contextlib.suppress(BlockingIOError):
+            self.outbuf = self.outbuf[self.sock.send(self.outbuf) :]
+            self.progress = time.monotonic()
+
+    def close(self):
+        self.server.connections.discard(self)
+        self.server.selector.unregister(self.sock)
+        self.sock.close()
 
 
-class ControlServer(netutil.ServedOnThread, socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    request_queue_size = MAX_CONNECTIONS  # a burst of connects is refused, not left to SYN retries
+class StreamServer:
+    """A TCP listener for one control plane, served without blocking from a selector loop.
 
-    def __init__(self, cp: ControlPlane, address=("127.0.0.1", 0)):
-        super().__init__(tuple(address), _Handler)
+    Each key it registers carries a callable taking the ready events.  A
+    subclass's ``take(inbuf)`` removes one request from the front of
+    ``inbuf`` and returns (reply, close after it), or None while no
+    request is whole.  A connection has one request in flight: a reply
+    the peer does not read at once is kept until the socket drains.
+    """
+
+    def __init__(self, cp: ControlPlane, address, selector: selectors.BaseSelector):
         self.cp = cp
-        self._connections = 0
-        self._connections_lock = threading.Lock()
+        # backlog = the cap: a burst of connects is refused, not left to SYN retries
+        self.sock = socket.create_server(tuple(address), backlog=MAX_CONNECTIONS)
+        self.sock.setblocking(False)
+        self.address = self.sock.getsockname()[:2]
+        self.selector = selector
+        self.connections: set[_Connection] = set()
+        selector.register(self.sock, selectors.EVENT_READ, self._accept)
 
-    def verify_request(self, request, client_address) -> bool:
-        with self._connections_lock:
-            if self._connections >= MAX_CONNECTIONS:
-                log.warning("refusing control client %s:%d: %d connections open", *client_address, self._connections)
-                return False  # the server closes it
-            self._connections += 1
-            return True
-
-    def process_request_thread(self, request, client_address):
+    def _accept(self, _events: int):
         try:
-            super().process_request_thread(request, client_address)
-        finally:
-            with self._connections_lock:
-                self._connections -= 1
+            sock, peer = self.sock.accept()
+        except OSError:  # the peer gave up before the accept
+            return
+        if len(self.connections) >= MAX_CONNECTIONS:
+            log.warning("%s refused %s:%d: %d connections open", type(self).__name__, *peer[:2], len(self.connections))
+            sock.close()
+            return
+        sock.setblocking(False)
+        conn = _Connection(self, sock, peer)
+        self.connections.add(conn)
+        self.selector.register(sock, selectors.EVENT_READ, conn.serve)
+
+    def expire(self, now: float) -> float:
+        """Close every connection without progress for READ_TIMEOUT_S; returns the seconds until the next is due."""
+        for conn in [c for c in self.connections if now - c.progress >= READ_TIMEOUT_S]:
+            log.info("%s client %s:%d stalled for %.1f s; closing", type(self).__name__, *conn.peer, now - conn.progress)
+            conn.close()
+        return min((c.progress + READ_TIMEOUT_S - now for c in self.connections), default=READ_TIMEOUT_S)
+
+    def close(self):
+        for conn in list(self.connections):
+            conn.close()
+        self.selector.unregister(self.sock)
+        self.sock.close()
+
+
+class ControlServer(StreamServer):
+    def take(self, inbuf: bytearray) -> tuple[bytes, bool] | None:
+        if len(inbuf) < _LEN.size:
+            return None
+        (length,) = _LEN.unpack_from(inbuf)
+        if length > FRAME_MAX:  # cannot resynchronize: reply, then close
+            error = {"ok": False, "error": "BadRequest", "message": f"frame of {length} octets exceeds {FRAME_MAX}"}
+            return _frame(error), True
+        end = _LEN.size + length
+        if len(inbuf) < end:
+            return None
+        body = bytes(inbuf[_LEN.size : end])
+        del inbuf[:end]
+        return _frame(self.dispatch(body)), False
 
     # --- request handling -----------------------------------------------------
 
     def dispatch(self, body: bytes) -> dict:
         try:
             request = json.loads(body)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nesting past the parser's depth
             return {"ok": False, "error": "BadRequest", "message": f"undecodable request: {exc}"}
         if not isinstance(request, dict) or not isinstance(request.get("verb"), str):
             return {"ok": False, "error": "BadRequest", "message": "request must be an object with a verb"}
@@ -148,7 +204,7 @@ class ControlServer(netutil.ServedOnThread, socketserver.ThreadingTCPServer):
             return {"ok": True, **self._apply(request)}
         except _NAMED_ERRORS as exc:
             return {"ok": False, "error": type(exc).__name__, "message": str(exc)}
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(1e400)
             return {"ok": False, "error": "BadRequest", "message": f"{type(exc).__name__}: {exc}"}
 
     def _apply(self, request: dict) -> dict:
@@ -208,10 +264,10 @@ class ControlClient:
 
     def __init__(self, address, timeout: float = 5.0):
         self.sock = socket.create_connection(tuple(address), timeout=timeout)
-        self._stream = self.sock.makefile("rwb")
+        self._stream = self.sock.makefile("rb")
 
     def call(self, verb: str, **fields) -> dict:
-        _write_frame(self._stream, {"verb": verb, **fields})
+        self.sock.sendall(_frame({"verb": verb, **fields}))
         head = self._stream.read(4)
         if len(head) < 4:
             raise FrameError("connection closed before a response arrived")
@@ -251,14 +307,7 @@ class ControlClient:
         self.call("deregister", session_id=session_id)
 
     def report(self, report: FillReport):
-        self.call(
-            "report",
-            session_id=report.session_id,
-            queue_fill=report.queue_fill,
-            control_signal=report.control_signal,
-            ready=report.ready,
-            wallclock_ns=report.wallclock_ns,
-        )
+        self.call("report", **dataclasses.asdict(report))
 
     def query(self, instance_id: int | None = None) -> dict:
         return self.call("query", instance_id=instance_id)["instances"]

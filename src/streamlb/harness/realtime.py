@@ -109,8 +109,9 @@ def run_realtime(
     dp = lb.dataplanes[0]
     iid = dp.instance.instance_id
     shared, stop = SharedTickState(), threading.Event()
-    threads = [threading.Thread(target=lb.run, name="control-pass", daemon=True)]
-    fronts, results, client = [], {}, None
+    control_loop = threading.Thread(target=lb.run, name="control-loop", daemon=True)
+    control_loop.start()  # it serves the control connection below
+    threads, fronts, results, client = [], [], {}, None
     try:
         lb.start()
         client = ControlClient(lb.control.address)
@@ -144,10 +145,11 @@ def run_realtime(
         wall = time.monotonic() - t0
     finally:
         stop.set()
-        lb.stopping.set()
-        for thread in threads:
+        for thread in threads:  # the fill reporter may be mid-call, which the loop still answers
             if thread.is_alive():
                 thread.join(timeout=2.0)
+        lb.stop()
+        control_loop.join(timeout=2.0)
         for front in fronts:
             front.stop()
         if client is not None:

@@ -5,19 +5,22 @@ slot share), the tick predictor output, and the forwarding counters of every
 instance.  ``lb_epochs_ahead`` counts the retained epochs whose boundary no
 forwarded tick has reached.  A new epoch supersedes such an epoch unless it
 is the only one, so once the traffic has reached the oldest boundary the
-gauge reads 0 or 1.  The HTTP side is a thin stdlib server; anything
-heavier would be overkill for a single read-only endpoint.
+gauge reads 0 or 1.  ``MetricsServer`` answers ``GET /metrics`` over
+HTTP/1.0 from ``lb-run``'s control loop and closes after each response.
 """
 
 from __future__ import annotations
 
-import http.server
+import re
 from collections.abc import Iterable
 
-from . import netutil
+from .control import StreamServer
 from .dataplane import DropReason
 
 CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+HEAD_MAX = 1 << 16  # a longer request head is answered 400
+_HEAD_END = re.compile(rb"\r?\n\r?\n")
+_GET_METRICS = re.compile(rb"GET /metrics[ ?]")
 
 
 def _escape(value: str) -> str:
@@ -116,25 +119,17 @@ def render_metrics(cp) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _Handler(http.server.BaseHTTPRequestHandler):
-    def do_GET(self):  # noqa: N802, stdlib naming
-        if self.path.split("?", 1)[0] != "/metrics":
-            self.send_error(404, "only /metrics is served")
-            return
-        body = render_metrics(self.server.cp).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", CONTENT_TYPE)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, fmt, *args):
-        pass
+def _response(status: str, body: bytes, content_type: str = "text/plain; charset=utf-8") -> bytes:
+    head = f"HTTP/1.0 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {len(body)}\r\nConnection: close\r\n\r\n"
+    return head.encode() + body
 
 
-class MetricsServer(netutil.ServedOnThread, http.server.ThreadingHTTPServer):
-    """Serves GET /metrics for one control plane."""
+class MetricsServer(StreamServer):
+    """Serves GET /metrics for one control plane; any other request is 404."""
 
-    def __init__(self, cp, address: tuple[str, int] = ("127.0.0.1", 0)):
-        super().__init__(address, _Handler)
-        self.cp = cp
+    def take(self, inbuf: bytearray) -> tuple[bytes, bool] | None:
+        if _HEAD_END.search(inbuf) is None:
+            return (_response("400 Bad Request", b"head too long\n"), True) if len(inbuf) > HEAD_MAX else None
+        if _GET_METRICS.match(inbuf):
+            return _response("200 OK", render_metrics(self.cp).encode(), CONTENT_TYPE), True
+        return _response("404 Not Found", b"only GET /metrics is served\n"), True

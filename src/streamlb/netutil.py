@@ -16,10 +16,8 @@ import errno
 import logging
 import socket
 import struct
-import threading
 
 __all__ = [
-    "ServedOnThread",
     "SegmentSender",
     "request_buffer",
     "parse_address",
@@ -170,45 +168,3 @@ class SegmentSender:
         for payload in run:
             self._sendto(payload, dest)
 
-
-class ServedOnThread:
-    """Mixin that serves a ``socketserver`` server from a daemon thread.
-
-    The thread serves one request at a time with ``handle_request``,
-    which returns within IDLE_TICK_S when nothing arrives, and checks a
-    stop flag between them.  ``request_stop`` sets the flag without
-    waiting, so a caller with several servers signals them all before it
-    joins any; ``stop`` signals, joins and closes, also on a server that
-    never started.
-    """
-
-    daemon_threads = True  # request handlers never hold up an exit
-    timeout = IDLE_TICK_S  # how long handle_request waits for a request
-    _thread: threading.Thread | None = None
-    _stopping: threading.Event | None = None
-
-    @property
-    def address(self) -> tuple:
-        return self.server_address[:2]
-
-    def start(self):
-        self._stopping = threading.Event()
-        self._thread = threading.Thread(
-            target=self._serve, args=(self._stopping,), name=type(self).__name__, daemon=True
-        )
-        self._thread.start()
-
-    def _serve(self, stopping: threading.Event):
-        while not stopping.is_set():
-            self.handle_request()
-
-    def request_stop(self):
-        if self._stopping is not None:
-            self._stopping.set()
-
-    def stop(self):
-        self.request_stop()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
-            self._thread = None
-        self.server_close()

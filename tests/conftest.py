@@ -1,6 +1,11 @@
 """Prints one PASS/FAIL line per acceptance criterion after a run; shared test helpers."""
 
 import re
+import threading
+
+import pytest
+
+from streamlb import balancer
 
 CRITERIA = {
     1: "zero-loss membership churn, every event delivered exactly once",
@@ -32,6 +37,30 @@ def forward_one(inst, datagram):
         return dest, sid, payload
     (reason,) = [r for r, n in inst.dropped_by_reason.items() if n != before.get(r, 0)]
     return None, reason, None
+
+
+@pytest.fixture
+def serving(monkeypatch):
+    """Start a Balancer over a given ControlPlane, its loop on a thread; stopped and closed after the test.
+
+    No control pass runs unless the test shortens CONTROL_INTERVAL_S again.
+    """
+    monkeypatch.setattr(balancer, "CONTROL_INTERVAL_S", 3600.0)
+    started = []
+
+    def serve(cp, instances=()):
+        lb = balancer.Balancer(cp, {"control": "127.0.0.1:0", "metrics": "127.0.0.1:0", "instances": list(instances)})
+        runner = threading.Thread(target=lb.run, name="control-loop", daemon=True)
+        started.append((lb, runner))
+        lb.start()
+        runner.start()
+        return lb
+
+    yield serve
+    for lb, runner in started:
+        lb.stop()
+        runner.join(timeout=2.0)
+        lb.close()
 
 
 def _criterion_of(nodeid: str):

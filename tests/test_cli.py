@@ -13,7 +13,7 @@ import time
 import pytest
 
 import streamlb
-from streamlb import balancer, cli, controlplane, metrics, netutil, receiver, sender, wire
+from streamlb import balancer, cli, controlplane, metrics, receiver, sender, wire
 from streamlb.control import ControlClient
 from streamlb.sender import event_digest, synth_events
 
@@ -319,13 +319,13 @@ def test_balancer_run_feeds_each_instance_its_syncs_and_stops_promptly(monkeypat
         time.sleep(0.3)  # parked in a poll with nothing to read
     finally:
         t1 = time.monotonic()
-        lb.stopping.set()
+        lb.stop()
         runner.join(timeout=2.0)
         elapsed = time.monotonic() - t1
         out.close()
         lb.close()
     assert not runner.is_alive()
-    assert elapsed < netutil.IDLE_TICK_S + 0.1
+    assert elapsed < 0.05  # the wait ends at the stop, not at the next pass
     gaps = [b - a for a, b in zip([t0, *passes], passes)]
     assert min(gaps) >= 0.2  # the first pass one interval after run starts, each next one after the last
 
@@ -334,9 +334,24 @@ def test_balancer_close_waits_one_idle_tick_not_one_per_part():
     lb = balancer.Balancer(controlplane.ControlPlane(), TWO_INSTANCES)
     before = set(threading.enumerate())
     lb.start()
-    # two data planes, the control server and the metrics server
-    assert len(set(threading.enumerate()) - before) == 4
-    time.sleep(0.3)  # every loop is parked in a receive or a poll
+    assert len(set(threading.enumerate()) - before) == 2  # the data planes
+    runner = threading.Thread(target=lb.run, daemon=True)
+    runner.start()
+    clients = [ControlClient(lb.control.address) for _ in range(4)]
+    try:
+        for client in clients:
+            assert set(client.query()) == {"0", "1"}
+        with socket.create_connection(lb.metrics.address) as scrape:
+            scrape.sendall(b"GET /metrics HTTP/1.0\r\n\r\n")
+            assert b"".join(iter(lambda: scrape.recv(1 << 16), b"")).startswith(b"HTTP/1.0 200 OK")
+            # the run loop serves every control and metrics connection itself
+            assert len(set(threading.enumerate()) - before - {runner}) == 2
+    finally:
+        for client in clients:
+            client.close()
+        lb.stop()
+        runner.join(timeout=2.0)
+    time.sleep(0.3)  # every data plane is parked in a receive
     t0 = time.monotonic()
     lb.close()
     assert time.monotonic() - t0 < 0.3

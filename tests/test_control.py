@@ -7,12 +7,13 @@ import struct
 import sys
 import threading
 import time
+import urllib.request
 
 import pytest
 
-from streamlb import control, wire
+from streamlb import balancer, control, wire
 from streamlb import controlplane as cp_mod
-from streamlb.control import FRAME_MAX, ControlClient, ControlProtocolError, ControlServer, FrameError
+from streamlb.control import FRAME_MAX, ControlClient, ControlProtocolError, FrameError
 from streamlb.controlplane import (
     MAX_INSTANCES,
     AlreadyDraining,
@@ -24,29 +25,50 @@ from streamlb.controlplane import (
     UnknownSession,
 )
 from streamlb.dataplane import SLOT_COUNT
-from streamlb.metrics import MetricsServer
+
+NO_INSTANCES = {"control": "127.0.0.1:0", "metrics": "127.0.0.1:0", "instances": []}
 
 
 @pytest.fixture
-def fabric():
+def fabric(serving):
     cp = ControlPlane(clock=lambda: 0)
-    server = ControlServer(cp, ("127.0.0.1", 0))
-    server.start()
-    client = ControlClient(server.address)
+    lb = serving(cp)
+    client = ControlClient(lb.control.address)
     yield cp, client
     client.close()
-    server.stop()
 
 
-@pytest.mark.parametrize("server_class", [ControlServer, MetricsServer])
-def test_server_stops_within_a_quarter_second(server_class):
-    server_class(ControlPlane(), ("127.0.0.1", 0)).stop()  # never started
-    server = server_class(ControlPlane(), ("127.0.0.1", 0))
-    server.start()
-    time.sleep(0.1)
-    t0 = time.monotonic()
-    server.stop()
-    assert time.monotonic() - t0 < 0.25
+def _raw_call(sock, body: bytes) -> dict:
+    sock.sendall(struct.pack(">I", len(body)) + body)
+    (length,) = struct.unpack(">I", _recv_exactly(sock, 4))
+    return json.loads(_recv_exactly(sock, length))
+
+
+def _recv_exactly(sock, n: int) -> bytes:
+    out = b""
+    while len(out) < n:
+        chunk = sock.recv(n - len(out))
+        assert chunk, "the server closed the connection"
+        out += chunk
+    return out
+
+
+def test_balancer_stops_within_a_quarter_second():
+    balancer.Balancer(ControlPlane(), NO_INSTANCES).close()  # never run
+    lb = balancer.Balancer(ControlPlane(), NO_INSTANCES)
+    runner = threading.Thread(target=lb.run, daemon=True)
+    runner.start()
+    with ControlClient(lb.control.address) as client, socket.create_connection(lb.metrics.address) as scrape:
+        client.query()
+        scrape.sendall(b"GET /metrics HTTP/1.0\r\n")  # half a request, left open
+        time.sleep(0.1)
+        t0 = time.monotonic()
+        lb.stop()
+        runner.join(timeout=2.0)
+        lb.close()
+        elapsed = time.monotonic() - t0
+    assert not runner.is_alive()
+    assert elapsed < 0.25
 
 
 def test_full_lifecycle_over_the_wire(fabric):
@@ -124,6 +146,30 @@ def test_oversize_frame_rejected_and_closed(fabric):
     raw.close()
 
 
+@pytest.mark.parametrize(
+    "body",
+    [b"[" * 100_000, b'{"verb":"free","instance_id":1e400}'],
+    ids=["nested_past_the_parser_depth", "integer_overflow"],
+)
+def test_hostile_json_is_a_bad_request_and_keeps_the_connection(fabric, body):
+    _, client = fabric
+    with socket.create_connection(client.sock.getpeername(), timeout=5.0) as raw:
+        response = _raw_call(raw, body)
+        assert response["ok"] is False and response["error"] == "BadRequest"
+        assert _raw_call(raw, b'{"verb":"query"}') == {"ok": True, "instances": {}}
+    assert isinstance(client.reserve(), int)
+
+
+@pytest.mark.parametrize("base_port, port_count", [(0, 1), (70000, 1), (65535, 2), (-3, 4)])
+def test_register_rejects_ports_outside_the_range(fabric, base_port, port_count):
+    cp, client = fabric
+    iid = client.reserve()
+    with pytest.raises(ControlProtocolError, match="BadRequest: ValueError"):
+        client.register(iid, "127.0.0.1", base_port, port_count)
+    assert cp.instances[iid].members == {}
+    client.register(iid, "127.0.0.1", 65534, 2)  # the last two ports
+
+
 def test_concurrent_clients_register_distinct_sessions(fabric):
     cp, client = fabric
     iid = client.reserve()
@@ -177,7 +223,7 @@ def test_deregister_publishes_a_table_without_the_leaver(fabric):
     assert len(state["epochs"]) == 3
 
 
-def test_membership_storm_never_splits_a_tick_nor_runs_two_epochs_ahead(monkeypatch, caplog):
+def test_membership_storm_never_splits_a_tick_nor_runs_two_epochs_ahead(monkeypatch, caplog, serving):
     # One thread forwards 3-fragment events and feeds the tick predictor,
     # so each boundary lands a short guard interval ahead of the traffic,
     # while two clients register and deregister members over the wire.
@@ -217,8 +263,7 @@ def test_membership_storm_never_splits_a_tick_nor_runs_two_epochs_ahead(monkeypa
         except Exception as exc:  # surface, don't swallow
             errors.append(exc)
 
-    server = ControlServer(cp)
-    server.start()
+    server = serving(cp).control
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     forwarder = threading.Thread(target=forward, daemon=True)
@@ -235,7 +280,6 @@ def test_membership_storm_never_splits_a_tick_nor_runs_two_epochs_ahead(monkeypa
         stop.set()
         forwarder.join(timeout=5.0)
         sys.setswitchinterval(old_interval)
-        server.stop()
     assert not forwarder.is_alive() and not any(t.is_alive() for t in clients)
     assert not errors
     assert len(ahead) >= 2, "the storm published no membership epoch"
@@ -262,26 +306,22 @@ def test_half_sent_frame_is_closed_after_the_read_timeout(fabric, monkeypatch):
 
 def _wait_for_connections(server, n):
     deadline = time.monotonic() + 5.0
-    while server._connections != n:
+    while len(server.connections) != n:
         assert time.monotonic() < deadline
         time.sleep(0.01)
 
 
-def test_client_reset_mid_frame_is_logged_without_a_traceback(capfd):
-    server = ControlServer(ControlPlane(clock=lambda: 0), ("127.0.0.1", 0))
-    server.start()
-    try:
-        with ControlClient(server.address) as client:
-            iid = client.reserve()
-            raw = socket.create_connection(server.address, timeout=5.0)
-            raw.sendall(struct.pack(">I", 9) + b"{")  # length and 1 of 9 octets
-            _wait_for_connections(server, 2)
-            raw.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
-            raw.close()  # linger 0: a reset, not a clean close
-            _wait_for_connections(server, 1)
-            assert str(iid) in client.query()  # the server keeps serving
-    finally:
-        server.stop()
+def test_client_reset_mid_frame_is_logged_without_a_traceback(capfd, serving):
+    server = serving(ControlPlane(clock=lambda: 0)).control
+    with ControlClient(server.address) as client:
+        iid = client.reserve()
+        raw = socket.create_connection(server.address, timeout=5.0)
+        raw.sendall(struct.pack(">I", 9) + b"{")  # length and 1 of 9 octets
+        _wait_for_connections(server, 2)
+        raw.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        raw.close()  # linger 0: a reset, not a clean close
+        _wait_for_connections(server, 1)
+        assert str(iid) in client.query()  # the server keeps serving
     assert "Traceback" not in capfd.readouterr().err
 
 
@@ -313,3 +353,99 @@ def test_connections_past_the_cap_are_closed_at_accept(fabric, monkeypatch):
         except (FrameError, ConnectionError):
             assert time.monotonic() < deadline
             time.sleep(0.05)
+
+
+def test_misbehaving_clients_delay_no_one_and_are_closed_after_the_read_timeout(serving, monkeypatch):
+    # One client pipelines queries without reading a reply, one sent half
+    # a frame and one half an HTTP request; the loop serves everyone else
+    # meanwhile and closes each of the three once it has made no progress
+    # for READ_TIMEOUT_S.
+    monkeypatch.setattr(balancer, "CONTROL_INTERVAL_S", 0.1)
+    cp = ControlPlane()
+    iid = cp.reserve_instance()
+    for n in range(300):  # a query reply of about 45 KB
+        cp.register_member(iid, f"10.7.{n // 200}.{n % 200 + 1}", 9000, 1)
+    passes = []
+    tick = cp.control_tick
+    monkeypatch.setattr(cp, "control_tick", lambda: (passes.append(time.monotonic()), tick()))
+    lb = serving(cp)
+    query = struct.pack(">I", 16) + b'{"verb":"query"}'
+    unread = socket.socket()
+    unread.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    half_frame = half_http = None
+    try:
+        unread.connect(lb.control.address)
+        unread.setblocking(False)
+        deadline = time.monotonic() + 20.0
+        while True:  # until the unread replies fill the socket and requests wait behind them
+            try:
+                unread.send(query * 1000)
+            except BlockingIOError:
+                stuck = list(lb.control.connections)
+                if stuck and stuck[0].inbuf and time.monotonic() - stuck[0].progress > 0.1:
+                    break
+                time.sleep(0.01)
+            assert time.monotonic() < deadline
+        monkeypatch.setattr(control, "READ_TIMEOUT_S", 0.6)
+        half_frame = socket.create_connection(lb.control.address, timeout=5.0)
+        half_frame.sendall(struct.pack(">I", 9) + b"{")
+        half_http = socket.create_connection(lb.metrics.address, timeout=5.0)
+        half_http.sendall(b"GET /metrics HTTP/1.1\r\nHost: lb\r\n")
+        sent = time.monotonic()
+        while len(lb.control.connections) + len(lb.metrics.connections) < 3:
+            assert time.monotonic() - sent < 1.0
+            time.sleep(0.01)
+
+        sid = min(cp.instances[iid].members)
+        for _ in range(3):
+            t0 = time.monotonic()
+            with ControlClient(lb.control.address) as client:
+                assert str(sid) in client.query(iid)[str(iid)]["members"]
+            host, port = lb.metrics.address
+            with urllib.request.urlopen(f"http://{host}:{port}/metrics", timeout=5.0) as resp:
+                assert f'session="{sid}"' in resp.read().decode()
+            assert time.monotonic() - t0 < 0.3
+            time.sleep(0.1)
+
+        for sock in (half_frame, half_http):
+            assert sock.recv(1) == b""  # closed by the server
+        closed = time.monotonic() - sent
+        while lb.control.connections or lb.metrics.connections:
+            assert time.monotonic() - sent < 2.0
+            time.sleep(0.01)
+    finally:
+        for sock in (unread, half_frame, half_http):
+            if sock is not None:
+                sock.close()
+    assert 0.55 <= closed < 1.5  # READ_TIMEOUT_S after the last octet each sent
+    during = [p for p in passes if p > sent]
+    assert len(during) >= 5
+    assert max(b - a for a, b in zip(during, during[1:])) < 0.3  # every pass on time
+
+
+def test_pipelined_requests_are_answered_whole_and_in_order_through_a_full_socket(serving):
+    cp = ControlPlane(clock=lambda: 0)
+    big, small = cp.reserve_instance(), cp.reserve_instance()
+    for n in range(300):  # a query reply of about 45 KB
+        cp.register_member(big, f"10.7.{n // 200}.{n % 200 + 1}", 9000, 1)
+    lb = serving(cp)
+    order = [big, small] * 20
+    with socket.socket() as raw:
+        raw.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        raw.connect(lb.control.address)
+        raw.settimeout(5.0)
+        deadline = time.monotonic() + 5.0
+        while not lb.control.connections:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        (conn,) = lb.control.connections
+        conn.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)  # every big reply leaves in pieces
+        raw.sendall(b"".join(struct.pack(">I", len(b)) + b for b in (
+            json.dumps({"verb": "query", "instance_id": iid}).encode() for iid in order
+        )))
+        time.sleep(0.2)  # the server fills the socket and keeps the rest of a reply
+        assert conn.outbuf
+        for iid in order:
+            (length,) = struct.unpack(">I", _recv_exactly(raw, 4))
+            response = json.loads(_recv_exactly(raw, length))
+            assert response["ok"] and list(response["instances"]) == [str(iid)]

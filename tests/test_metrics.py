@@ -138,20 +138,16 @@ def test_help_and_type_precede_samples(cp_with_traffic):
             seen.add(line.split("{")[0].split(" ")[0])
 
 
-def test_http_endpoint(cp_with_traffic):
+def test_http_endpoint(cp_with_traffic, serving):
     cp, iid, *_ = cp_with_traffic
-    server = metrics.MetricsServer(cp)
-    server.start()
-    try:
-        host, port = server.address
-        with urllib.request.urlopen(f"http://{host}:{port}/metrics") as resp:
-            assert resp.status == 200
-            assert resp.headers["Content-Type"].startswith("text/plain")
-            body = resp.read().decode()
-        assert f'lb_forwarded_total{{instance="{iid}"}} 1' in body
-        with pytest.raises(urllib.error.HTTPError) as err:
-            urllib.request.urlopen(f"http://{host}:{port}/other")
-        with err.value:
-            assert err.value.code == 404
-    finally:
-        server.stop()
+    host, port = serving(cp).metrics.address
+    with urllib.request.urlopen(f"http://{host}:{port}/metrics") as resp:
+        assert resp.status == 200
+        assert resp.headers["Content-Type"] == metrics.CONTENT_TYPE
+        body = resp.read()
+        assert int(resp.headers["Content-Length"]) == len(body)
+    assert f'lb_forwarded_total{{instance="{iid}"}} 1' in body.decode()
+    with pytest.raises(urllib.error.HTTPError) as err:
+        urllib.request.urlopen(f"http://{host}:{port}/other")
+    with err.value:
+        assert err.value.code == 404

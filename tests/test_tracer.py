@@ -8,11 +8,14 @@ warning, so every name must resolve here.
 import hashlib
 import importlib.util
 import socket
+import urllib.request
 from pathlib import Path
 
 import pytest
 
 from streamlb import netutil, wire
+from streamlb.control import ControlClient
+from streamlb.controlplane import ControlPlane
 from streamlb.dataplane import SLOT_COUNT, LbInstance, MemberSession, UdpDataPlane
 from streamlb.receiver import Receiver, UdpReceiver
 from streamlb.sender import Event, fragment_event
@@ -61,6 +64,18 @@ def test_the_socket_loop_routes_through_the_traced_entry_point(tracer):
         sink.close()
     routed = tracer.totals().get("streamlb.dataplane.LbInstance.forward_packet", {"calls": 0})
     assert routed["calls"] == 1
+
+
+def test_the_control_loop_serves_through_the_traced_entry_points(tracer, serving):
+    tracer, _ = tracer
+    lb = serving(ControlPlane())
+    with ControlClient(lb.control.address) as client:
+        iid = client.reserve()
+    with urllib.request.urlopen("http://%s:%d/metrics" % lb.metrics.address, timeout=5.0) as resp:
+        assert f'lb_epochs_total{{instance="{iid}"}} 0' in resp.read().decode()
+    totals = tracer.totals()
+    for name in ("streamlb.control.ControlServer.dispatch", "streamlb.metrics.render_metrics"):
+        assert totals.get(name, {"calls": 0})["calls"] == 1, name
 
 
 def test_the_receiver_loop_ingests_a_channel_through_one_traced_call(tracer):
