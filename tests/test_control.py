@@ -2,6 +2,7 @@
 
 import json
 import select
+import selectors
 import socket
 import struct
 import sys
@@ -13,7 +14,7 @@ import pytest
 
 from streamlb import balancer, control, wire
 from streamlb import controlplane as cp_mod
-from streamlb.control import FRAME_MAX, ControlClient, ControlProtocolError, FrameError
+from streamlb.control import FRAME_MAX, ControlClient, ControlProtocolError, ControlServer, FrameError
 from streamlb.controlplane import (
     MAX_INSTANCES,
     AlreadyDraining,
@@ -25,6 +26,7 @@ from streamlb.controlplane import (
     UnknownSession,
 )
 from streamlb.dataplane import SLOT_COUNT
+from streamlb.metrics import MetricsServer
 
 NO_INSTANCES = {"control": "127.0.0.1:0", "metrics": "127.0.0.1:0", "instances": []}
 
@@ -53,14 +55,20 @@ def _recv_exactly(sock, n: int) -> bytes:
     return out
 
 
-def test_balancer_stops_within_a_quarter_second():
+@pytest.mark.parametrize("server_class", [ControlServer, MetricsServer])
+def test_server_stops_within_a_quarter_second(server_class):
+    with selectors.DefaultSelector() as selector:
+        server_class(ControlPlane(), ("127.0.0.1", 0), selector).close()  # never served
     balancer.Balancer(ControlPlane(), NO_INSTANCES).close()  # never run
     lb = balancer.Balancer(ControlPlane(), NO_INSTANCES)
+    server = lb.control if server_class is ControlServer else lb.metrics
+    assert type(server) is server_class
     runner = threading.Thread(target=lb.run, daemon=True)
     runner.start()
-    with ControlClient(lb.control.address) as client, socket.create_connection(lb.metrics.address) as scrape:
+    with ControlClient(lb.control.address) as client, socket.create_connection(server.address) as held:
         client.query()
-        scrape.sendall(b"GET /metrics HTTP/1.0\r\n")  # half a request, left open
+        # half a request, left open on the server under test
+        held.sendall(struct.pack(">I", 64) if server_class is ControlServer else b"GET /metrics HTTP/1.0\r\n")
         time.sleep(0.1)
         t0 = time.monotonic()
         lb.stop()
