@@ -21,7 +21,6 @@ MAX_CONNECTIONS open; later ones are closed on accept.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import json
 import logging
 import selectors
@@ -100,7 +99,8 @@ class _Connection:
                 self.progress = time.monotonic()
             elif self.outbuf:
                 self._send()
-            taken = None if self.outbuf else self.server.take(self.inbuf)  # one request in flight
+            # one request in flight, and none after a reply that closes
+            taken = None if self.outbuf or self.closing else self.server.take(self.inbuf)
             if taken is not None:
                 reply, self.closing = taken
                 self.outbuf = memoryview(reply)
@@ -307,7 +307,14 @@ class ControlClient:
         self.call("deregister", session_id=session_id)
 
     def report(self, report: FillReport):
-        self.call("report", **dataclasses.asdict(report))
+        self.call(
+            "report",
+            session_id=report.session_id,
+            queue_fill=report.queue_fill,
+            control_signal=report.control_signal,
+            ready=report.ready,
+            wallclock_ns=report.wallclock_ns,
+        )
 
     def query(self, instance_id: int | None = None) -> dict:
         return self.call("query", instance_id=instance_id)["instances"]

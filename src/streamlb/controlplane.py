@@ -157,6 +157,11 @@ class TickPredictor:
         self.last_by_source[source_id] = latest_tick
         self.samples.append((wallclock_ns, latest_tick))
 
+    def newest_tick(self) -> int:
+        if not self.samples:
+            raise NoSyncData("no sync samples")
+        return max(tick for _, tick in self.samples)
+
     def predict(self, at_ns: int) -> int:
         if not self.samples:
             raise NoSyncData("no sync samples")
@@ -169,7 +174,7 @@ class TickPredictor:
             slope, intercept = statistics.linear_regression(xs, ys)
             slope = max(0.0, slope)
         value = slope * ((at_ns - t_ref) / 1e9) + intercept + y_ref
-        return max(round(value), max(tick for _, tick in self.samples), 0)
+        return max(round(value), self.newest_tick(), 0)
 
 
 def apportion_slots(weights: dict, slot_count: int = SLOT_COUNT) -> tuple:
@@ -190,8 +195,20 @@ def apportion_slots(weights: dict, slot_count: int = SLOT_COUNT) -> tuple:
         counts[sid] += 1
 
     order = sorted(counts, key=lambda s: (-counts[s], s))
-    # round r deals one slot to each member holding more than r; the counts sum to slot_count
-    return tuple(sid for r in range(counts[order[0]]) for sid in order if counts[sid] > r)
+    remaining = dict(counts)
+    table = []
+    while len(table) < slot_count:
+        dealt = False
+        for sid in order:
+            if remaining[sid] > 0:
+                table.append(sid)
+                remaining[sid] -= 1
+                dealt = True
+                if len(table) == slot_count:
+                    break
+        if not dealt:
+            break
+    return tuple(table)
 
 
 def load_snapshot(path) -> dict:

@@ -457,3 +457,32 @@ def test_pipelined_requests_are_answered_whole_and_in_order_through_a_full_socke
             (length,) = struct.unpack(">I", _recv_exactly(raw, 4))
             response = json.loads(_recv_exactly(raw, length))
             assert response["ok"] and list(response["instances"]) == [str(iid)]
+
+
+def test_a_closing_reply_that_drains_over_several_wakes_is_sent_once(serving):
+    cp = ControlPlane(clock=lambda: 0)
+    iid = cp.reserve_instance()
+    for n in range(300):  # a scrape of tens of KB
+        cp.register_member(iid, f"10.7.{n // 200}.{n % 200 + 1}", 9000, 1)
+    lb = serving(cp)
+    with socket.socket() as raw:
+        raw.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        raw.connect(lb.metrics.address)
+        raw.settimeout(5.0)
+        deadline = time.monotonic() + 5.0
+        while not lb.metrics.connections:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        (conn,) = lb.metrics.connections
+        conn.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)  # the response leaves in pieces
+        raw.sendall(b"GET /metrics HTTP/1.0\r\n\r\n")
+        time.sleep(0.2)
+        assert conn.outbuf  # the server kept the rest for later wakes
+        received, deadline = b"", time.monotonic() + 5.0
+        while chunk := raw.recv(1 << 16):  # to EOF: the server closes after one response
+            received += chunk
+            assert time.monotonic() < deadline, f"{len(received)} octets and no EOF"
+    head, _, body = received.partition(b"\r\n\r\n")
+    assert received.count(b"HTTP/1.0 200") == 1
+    (length,) = [int(line.split(b":")[1]) for line in head.split(b"\r\n") if line.startswith(b"Content-Length:")]
+    assert len(body) == length > 20_000
